@@ -1,6 +1,6 @@
 """coevo: co-evolution of heuristic programs and their mutation prompts."""
 
-from .archive import Descriptor, EvolutionState, IslandArchive, archive_insert, migrate
+from .archive import Descriptor, EvolutionState, IslandArchive, migrate
 from .evaluator import Candidate, EvalReport, RunnerConfig, evaluate_candidate
 from .experience import ExperienceRecord, ExperienceStore, summarize
 from .heuristics import Packing, Tour
@@ -36,7 +36,6 @@ __all__ = [
     "Strategy",
     "Tour",
     "TspInstance",
-    "archive_insert",
     "brute_force_tsp",
     "compose_prompt",
     "complete",

@@ -22,6 +22,10 @@ EPSILON_BASE = 0.2
 EPSILON_RAISED = 0.4
 STAGNATION_WINDOW = 3
 
+# Fixed descriptor bin edges: relative error in percent, source size in KiB.
+PERFORMANCE_EDGES = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
+COMPLEXITY_EDGES_KIB = (1.0, 2.0, 4.0, 8.0, 16.0)
+
 
 @dataclass(frozen=True)
 class Descriptor:
@@ -37,23 +41,15 @@ class Descriptor:
         return cls(int(p), int(c))
 
 
-@dataclass(frozen=True)
-class GridConfig:
-    """Fixed bin edges: relative error in percent, source size in KiB."""
-
-    performance_edges: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
-    complexity_edges_kib: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0, 16.0)
-
-
-def descriptor(candidate: Candidate, report: EvalReport, grid: GridConfig = GridConfig()) -> Descriptor:
+def descriptor(candidate: Candidate, report: EvalReport) -> Descriptor:
     """Project a scored candidate into its archive cell."""
     if report.mean_relative_error is None:
         raise ValueError(f"candidate {candidate.id} has no performance to map")
     error = max(report.mean_relative_error, 0.0)
     kib = len(candidate.source.encode("utf-8")) / 1024.0
     return Descriptor(
-        performance_bin=bisect_right(grid.performance_edges, error),
-        complexity_bin=bisect_right(grid.complexity_edges_kib, kib),
+        performance_bin=bisect_right(PERFORMANCE_EDGES, error),
+        complexity_bin=bisect_right(COMPLEXITY_EDGES_KIB, kib),
     )
 
 
@@ -106,10 +102,6 @@ class IslandArchive:
         if not elites:
             return None
         return min(elites, key=lambda c: (-c.performance, c.id))
-
-
-def archive_insert(island: IslandArchive, candidate: Candidate, generation: int = 0) -> str:
-    return island.insert(candidate, generation)
 
 
 def replay_log(
@@ -262,7 +254,6 @@ def select_parent(
 
 @dataclass
 class MigrationConfig:
-    interval: int = 4
     migrants_per_event: int = 1  # top-k elites offered per island
 
 

@@ -20,7 +20,7 @@ import sys
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
@@ -53,17 +53,7 @@ class Candidate:
     performance: float | None = None
 
     def to_dict(self) -> dict:
-        d = {
-            "id": self.id,
-            "source": self.source,
-            "language_tag": self.language_tag,
-            "parent_id": self.parent_id,
-            "island": self.island,
-            "generation": self.generation,
-            "strategy_used": self.strategy_used,
-            "performance": self.performance,
-            "descriptor": None,
-        }
+        d = asdict(self)
         if self.descriptor is not None:
             d["descriptor"] = [self.descriptor.performance_bin, self.descriptor.complexity_bin]
         return d
@@ -73,17 +63,7 @@ class Candidate:
         from .archive import Descriptor
 
         desc = d.get("descriptor")
-        return cls(
-            id=d["id"],
-            source=d["source"],
-            language_tag=d.get("language_tag", "python"),
-            parent_id=d.get("parent_id"),
-            island=d.get("island", 0),
-            generation=d.get("generation", 0),
-            strategy_used=d.get("strategy_used", "seed"),
-            descriptor=Descriptor(desc[0], desc[1]) if desc else None,
-            performance=d.get("performance"),
-        )
+        return cls(**{**d, "descriptor": Descriptor(*desc) if desc else None})
 
 
 def _default_commands() -> dict[str, tuple[str, ...]]:
@@ -271,6 +251,9 @@ def run_candidate(
         program = Path(tmp) / "candidate.py"
         program.write_text(candidate.source)
         cmd = [part.replace("{source}", str(program)) for part in template]
+        # tracebacks name the program by this path; dropping the random
+        # directory keeps diagnostics, and the files they reach, reproducible
+        private = tmp + os.sep
         env = {k: os.environ[k] for k in cfg.env_allowlist if k in os.environ}
         env["PYTHONHASHSEED"] = "0"
         try:
@@ -285,10 +268,10 @@ def run_candidate(
             )
             raw.exit_code = proc.returncode
             raw.stdout = proc.stdout
-            raw.stderr = proc.stderr
+            raw.stderr = proc.stderr.replace(private, "")
         except subprocess.TimeoutExpired as exc:
             raw.timed_out = True
-            raw.stderr = str(exc.stderr or "")
+            raw.stderr = str(exc.stderr or "").replace(private, "")
         except OSError as exc:
             raw.started = False
             raw.start_error = str(exc)

@@ -8,7 +8,7 @@ smoothing so unattempted strategies start from a neutral prior.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import DanglingReferenceError
@@ -45,19 +45,7 @@ class ExperienceRecord:
             raise ValueError(f"{self.outcome} records require a delta")
 
     def to_dict(self) -> dict:
-        return {
-            "generation": self.generation,
-            "island": self.island,
-            "parent_id": self.parent_id,
-            "child_id": self.child_id,
-            "strategy_used": self.strategy_used,
-            "prompt_version": self.prompt_version,
-            "outcome": self.outcome,
-            "delta": self.delta,
-            "child_error": self.child_error,
-            "failure_class": self.failure_class,
-            "diagnostic": self.diagnostic,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperienceRecord":

@@ -65,7 +65,6 @@ class MockBackend:
         else:
             self._script = {"*": list(script)}
         self._cursor = {k: 0 for k in self._script}
-        self.calls: list[str] = []
 
     @classmethod
     def from_file(cls, path: str | Path) -> "MockBackend":
@@ -96,7 +95,6 @@ class MockBackend:
         if i >= len(self._script[key]):
             raise MockScriptError(f"mock script exhausted for key {key!r} after {i} responses")
         self._cursor[key] = i + 1
-        self.calls.append(request.tag)
         return CompletionResponse(text=self._script[key][i])
 
     def state_dict(self) -> dict:
@@ -136,7 +134,6 @@ class HttpBackend:
         self.api_key = api_key
         self.timeout_s = timeout_s
         self._transport = transport or _urllib_transport
-        self.calls: list[dict] = []
 
     def complete_once(self, request: CompletionRequest) -> CompletionResponse:
         body = {
@@ -166,7 +163,6 @@ class HttpBackend:
             usage = doc.get("usage", {})
         except (json.JSONDecodeError, KeyError, IndexError, TypeError):
             raise TransportError("malformed response envelope") from None
-        self.calls.append({"body": body, "latency_s": latency})
         return CompletionResponse(
             text=text,
             finish_reason=finish,

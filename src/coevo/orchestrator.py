@@ -14,11 +14,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import time
+import typing
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import archive as arch
-from .archive import EvolutionState, GridConfig, MigrationConfig, descriptor
+from .archive import EvolutionState, MigrationConfig, descriptor
 from .errors import ConfigError, EmptyResponseError, LlmError
 from .evaluator import Candidate, EvalReport, RunnerConfig, evaluate_candidate
 from .experience import (
@@ -43,6 +45,12 @@ from .seeds import SEEDS, seed_source
 
 CHECKPOINT_VERSION = 1
 REPORT_VERSION = 1
+# EvolutionRun attributes a checkpoint holds besides the state, prompts,
+# experience, reports and llm cursors it rebuilds.
+COUNTERS = (
+    "base_errors", "trace", "strategy_usage", "generated", "executable", "events",
+    "llm_calls", "next_seq", "pending_repair", "initialized",
+)
 
 
 @dataclass
@@ -124,21 +132,16 @@ class RunConfig:
                 raise ConfigError(f"seed {name!r} does not solve problem {self.problem!r}")
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["seeds"] = list(self.seeds)
-        return d
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        d = dict(d)
-        if "seeds" in d:
-            d["seeds"] = tuple(d["seeds"])
-        return cls(**d)
+        """JSON values, as a checkpoint holds them; each is checked against its field's type."""
+        return cls(**{key: _coerce(key, value, "config") for key, value in d.items()})
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
         """Flat ``key = value`` text; '#' starts a comment; seeds comma-separated."""
-        fields = {f.name: f for f in dataclasses.fields(cls)}
         values: dict = {}
         for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
@@ -148,49 +151,50 @@ class RunConfig:
                 raise ConfigError(f"{path} line {lineno}: expected key = value")
             key, _, value = line.partition("=")
             key = key.strip()
-            value = value.strip()
-            if key not in fields:
-                raise ConfigError(f"{path} line {lineno}: unknown key {key!r}")
-            values[key] = _coerce(key, value, lineno, path)
+            values[key] = _coerce(key, value.strip(), f"{path} line {lineno}")
         return cls(**values)
 
 
-def _coerce(key: str, value: str, lineno: int, path) -> object:
-    none_ok = {"total_timeout_s", "mock_script", "llm_call_cap"}
-    if key in none_ok and value.lower() in ("none", ""):
-        return None
-    if key == "seeds":
-        return tuple(s.strip() for s in value.split(",") if s.strip())
-    bools = {
-        "per_island_prompts", "island_per_iteration", "repair_failed_offspring",
-    }
-    if key in bools:
-        if value.lower() in ("true", "1", "yes"):
-            return True
-        if value.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"{path} line {lineno}: {key} must be true/false")
-    ints = {
-        "iterations", "islands", "migration_interval", "migrants_per_event", "rng_seed",
-        "max_tokens", "parallelism", "experience_window", "stagnation_window",
-        "prompt_update_interval", "llm_call_cap", "checkpoint_interval",
-        "oracle_tsp_limit", "oracle_bpp_limit",
-    }
-    if key in ints:
+_FIELD_TYPES = typing.get_type_hints(RunConfig)
+_BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+_EXPECTED = {bool: "true/false", int: "an integer", float: "a number", str: "a string"}
+
+
+def _coerce(key: str, value: object, where: str) -> object:
+    """``value`` as the type of RunConfig field ``key``.
+
+    A ``str`` is config text and is parsed: ``none`` or empty unsets an
+    optional field, flags take true/false/yes/no/1/0, tuples are
+    comma-separated. Any other value is JSON and must already have the type.
+    """
+    kind = _FIELD_TYPES.get(key)
+    if kind is None:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    text = isinstance(value, str)
+    if type(None) in typing.get_args(kind):  # T | None
+        if value is None or (text and value.lower() in ("none", "")):
+            return None
+        kind = next(t for t in typing.get_args(kind) if t is not type(None))
+    if kind is bool:
+        if isinstance(value, bool) or (text and value.lower() in _BOOL_WORDS):
+            return _BOOL_WORDS[str(value).lower()]
+    elif kind in (int, float):
+        numeric = (int, float) if kind is float else int
         try:
-            return int(value)
+            if text or (isinstance(value, numeric) and not isinstance(value, bool)):
+                return kind(value)
         except ValueError:
-            raise ConfigError(f"{path} line {lineno}: {key} must be an integer") from None
-    floats = {
-        "timeout_s", "total_timeout_s", "temperature", "top_p", "strategy_temperature",
-        "epsilon_base", "epsilon_raised",
-    }
-    if key in floats:
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(f"{path} line {lineno}: {key} must be a number") from None
-    return value
+            pass
+    elif kind is str:
+        if text:
+            return value
+    else:  # tuple[str, ...]
+        items = value.split(",") if text else value
+        if isinstance(items, (list, tuple)) and all(
+            isinstance(item, str) and item.strip() for item in items
+        ):
+            return tuple(item.strip() for item in items)
+    raise ConfigError(f"{where}: {key} must be {_EXPECTED.get(kind, 'comma-separated names')}")
 
 
 @dataclass
@@ -219,30 +223,10 @@ class RunReport:
     wall_time_s: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "version": REPORT_VERSION,
-            "problem": self.problem,
-            "dataset": self.dataset,
-            "seeds": list(self.seeds),
-            "iterations": self.iterations,
-            "islands": self.islands,
-            "migration_interval": self.migration_interval,
-            "rng_seed": self.rng_seed,
-            "backend": self.backend,
-            "base_errors": self.base_errors,
-            "best": {"id": self.best_id, "source": self.best_source,
-                     "mean_relative_error": self.best_error},
-            "trace": self.trace,
-            "strategy_usage": self.strategy_usage,
-            "generated_per_generation": self.generated_per_generation,
-            "executable_per_generation": self.executable_per_generation,
-            "executable_rate": self.executable_rate,
-            "executable_rate_per_generation": self.executable_rate_per_generation,
-            "prompt_versions": self.prompt_versions,
-            "events": self.events,
-            "llm_calls": self.llm_calls,
-            "wall_time_s": self.wall_time_s,
-        }
+        d = dataclasses.asdict(self)
+        d["best"] = {"id": d.pop("best_id"), "source": d.pop("best_source"),
+                     "mean_relative_error": d.pop("best_error")}
+        return {"version": REPORT_VERSION, **d}
 
 
 def build_backend(config: RunConfig) -> Backend:
@@ -282,7 +266,6 @@ class EvolutionRun:
             total_timeout_s=config.total_timeout_s,
             workers=config.parallelism,
         )
-        self.grid = GridConfig()
         self.state = EvolutionState.fresh(config.islands, config.rng_seed)
         self.reports: dict[str, EvalReport] = {}
         exp_path = self.out / "experience.jsonl" if self.out else None
@@ -360,7 +343,7 @@ class EvolutionRun:
                     strategy_used="seed",
                     performance=-probe_report.mean_relative_error,
                 )
-                cand.descriptor = descriptor(cand, probe_report, self.grid)
+                cand.descriptor = descriptor(cand, probe_report)
                 self.state.register(cand)
                 self.experience.register(cand.id)
                 self.reports[cand.id] = dataclasses.replace(probe_report, candidate_id=cand.id)
@@ -447,7 +430,7 @@ class EvolutionRun:
             )
             self.experience.record(rec)
             pstate.attribute(pstate.current_id, outcome)
-            child.descriptor = descriptor(child, report, self.grid)
+            child.descriptor = descriptor(child, report)
             island.insert(child, generation)
             self.state.update_best(child)
             return True
@@ -528,10 +511,7 @@ class EvolutionRun:
         ):
             mig = arch.migrate(
                 self.state,
-                MigrationConfig(
-                    interval=self.config.migration_interval,
-                    migrants_per_event=self.config.migrants_per_event,
-                ),
+                MigrationConfig(migrants_per_event=self.config.migrants_per_event),
             )
             accepted = sum(1 for *_rest, outcome in mig.offers if outcome != arch.REJECTED)
             self.events.append(
@@ -599,9 +579,9 @@ class EvolutionRun:
     # -- checkpointing ----------------------------------------------------
 
     def checkpoint_dict(self) -> dict:
-        llm_state = {}
-        if isinstance(self.backend, MockBackend):
-            llm_state = self.backend.state_dict()
+        llm_state = self.backend.state_dict() if isinstance(self.backend, MockBackend) else {}
+        counters = {name: getattr(self, name) for name in COUNTERS}
+        counters["pending_repair"] = {str(k): v for k, v in self.pending_repair.items()}
         return {
             "version": CHECKPOINT_VERSION,
             "config": self.config.to_dict(),
@@ -610,18 +590,7 @@ class EvolutionRun:
             "experience": self.experience.to_dict(),
             "reports": {cid: r.to_dict() for cid, r in sorted(self.reports.items())},
             "llm_state": llm_state,
-            "counters": {
-                "base_errors": self.base_errors,
-                "trace": self.trace,
-                "strategy_usage": self.strategy_usage,
-                "generated": self.generated,
-                "executable": self.executable,
-                "events": self.events,
-                "llm_calls": self.llm_calls,
-                "next_seq": self.next_seq,
-                "pending_repair": {str(k): v for k, v in self.pending_repair.items()},
-                "initialized": self.initialized,
-            },
+            "counters": counters,
         }
 
     def _write_checkpoint(self) -> None:
@@ -637,50 +606,44 @@ class EvolutionRun:
         out_dir: str | Path | None = None,
         backend: Backend | None = None,
     ) -> "EvolutionRun":
-        doc = json.loads(Path(path).read_text())
-        if doc.get("version") != CHECKPOINT_VERSION:
-            raise ConfigError(f"unsupported checkpoint version {doc.get('version')!r}")
-        config = RunConfig.from_dict(doc["config"])
+        """Rebuild a run from its checkpoint; any malformed content is a ConfigError."""
+        with _malformed_checkpoint(path):
+            doc = json.loads(Path(path).read_text())
+            if doc["version"] != CHECKPOINT_VERSION:
+                raise ValueError(f"unsupported version {doc['version']!r}")
+            config = RunConfig.from_dict(doc["config"])
         run = cls(config, out_dir=out_dir, backend=backend)
-        run.state = EvolutionState.from_dict(doc["state"])
-        run.prompts = [PromptState.from_dict(p) for p in doc["prompts"]]
-        exp_path = run.out / "experience.jsonl" if run.out else None
-        run.experience = ExperienceStore.from_dict(doc["experience"], exp_path)
-        run.reports = {cid: EvalReport.from_dict(r) for cid, r in doc["reports"].items()}
-        if isinstance(run.backend, MockBackend):
-            run.backend.load_state_dict(doc.get("llm_state", {}))
-        c = doc["counters"]
-        run.base_errors = dict(c["base_errors"])
-        run.trace = list(c["trace"])
-        run.strategy_usage = dict(c["strategy_usage"])
-        run.generated = list(c["generated"])
-        run.executable = list(c["executable"])
-        run.events = list(c["events"])
-        run.llm_calls = c["llm_calls"]
-        run.next_seq = c["next_seq"]
-        run.pending_repair = {int(k): v for k, v in c["pending_repair"].items()}
-        run.initialized = c["initialized"]
+        with _malformed_checkpoint(path):
+            run.state = EvolutionState.from_dict(doc["state"])
+            run.prompts = [PromptState.from_dict(p) for p in doc["prompts"]]
+            exp_path = run.out / "experience.jsonl" if run.out else None
+            run.experience = ExperienceStore.from_dict(doc["experience"], exp_path)
+            run.reports = {cid: EvalReport.from_dict(r) for cid, r in doc["reports"].items()}
+            if isinstance(run.backend, MockBackend):
+                run.backend.load_state_dict(doc["llm_state"])
+            for name in COUNTERS:
+                value = doc["counters"][name]
+                if type(value) is not type(getattr(run, name)):
+                    raise TypeError(f"counter {name} has type {type(value).__name__}")
+                setattr(run, name, value)
+            run.pending_repair = {int(k): v for k, v in run.pending_repair.items()}
         return run
 
 
-def run(config: RunConfig, out_dir: str | Path | None = None,
-        backend: Backend | None = None) -> RunReport:
-    return EvolutionRun(config, out_dir=out_dir, backend=backend).run()
+@contextmanager
+def _malformed_checkpoint(path: str | Path):
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigError(f"malformed checkpoint {path}: missing key {exc}") from None
+    except (ConfigError, LookupError, TypeError, ValueError, AttributeError) as exc:
+        raise ConfigError(f"malformed checkpoint {path}: {exc}") from None
 
 
 def resume(checkpoint: str | Path, out_dir: str | Path | None = None,
            backend: Backend | None = None) -> RunReport:
     """Continue a checkpointed run to completion and write its report."""
-    started = time.monotonic()
-    evo = EvolutionRun.from_checkpoint(checkpoint, out_dir=out_dir, backend=backend)
-    while evo.state.generation < evo.config.iterations:
-        evo.step()
-    report = evo.build_report()
-    report.wall_time_s = time.monotonic() - started
-    if evo.out is not None:
-        write_report(report, evo.out / "report.json")
-        (evo.out / "best_candidate.py").write_text(report.best_source)
-    return report
+    return EvolutionRun.from_checkpoint(checkpoint, out_dir=out_dir, backend=backend).run()
 
 
 def write_report(report: RunReport, path: str | Path) -> None:

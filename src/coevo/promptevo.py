@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 
 from .errors import LlmError
@@ -120,15 +120,6 @@ class PromptVersion:
     outcomes: dict[str, int] = field(default_factory=dict)
     discarded: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "text": self.text,
-            "created_at_generation": self.created_at_generation,
-            "outcomes": dict(self.outcomes),
-            "discarded": self.discarded,
-        }
-
 
 @dataclass
 class PromptState:
@@ -203,32 +194,15 @@ class PromptState:
         return False
 
     def to_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "current_id": self.current_id,
-            "versions": [v.to_dict() for v in self.versions],
-            "events": list(self.events),
-            "history": [[g, e] for g, e in self.history],
-            "watch": self.watch,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PromptState":
-        state = cls(task=d["task"], current_id=d["current_id"])
-        state.versions = [
-            PromptVersion(
-                id=v["id"],
-                text=v["text"],
-                created_at_generation=v["created_at_generation"],
-                outcomes=dict(v["outcomes"]),
-                discarded=v["discarded"],
-            )
-            for v in d["versions"]
-        ]
-        state.events = list(d.get("events", []))
-        state.history = [(g, e) for g, e in d.get("history", [])]
-        state.watch = d.get("watch")
-        return state
+        return cls(**{
+            **d,
+            "versions": [PromptVersion(**v) for v in d["versions"]],
+            "history": [(g, e) for g, e in d["history"]],
+        })
 
 
 _PLACEHOLDER = re.compile(

@@ -11,7 +11,6 @@ from coevo.archive import (
     EvolutionState,
     IslandArchive,
     MigrationConfig,
-    archive_insert,
     descriptor,
     epsilon_schedule,
     lineage_cells,
@@ -121,11 +120,6 @@ def test_replay_log_reconstructs_archive():
     assert {d.key(): c.id for d, c in rebuilt.occupied()} == {
         d.key(): c.id for d, c in island.occupied()
     }
-
-
-def test_archive_insert_function_alias():
-    island = IslandArchive(island_id=0)
-    assert archive_insert(island, scored("c1", -1.0)) == ACCEPTED_NEW
 
 
 # --- island and parent selection ----------------------------------------------

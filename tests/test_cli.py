@@ -289,6 +289,36 @@ def test_cmd_run_resume_flag(tmp_path):
     assert main(["run", "--out", str(tmp_path / "x")]) == 1
 
 
+def test_cmd_run_resume_malformed_checkpoint_exit_1(tmp_path, capsys):
+    inst = bench_dir(tmp_path)
+    responses = [fenced(seed_source("nearest-neighbor"))] * 2
+    script = write_mock_script(tmp_path / "s.jsonl", generate=responses, evolve=["m"])
+    cfg = write_config(tmp_path, inst, script, iterations=1)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "full")]) == 0
+    text = (tmp_path / "full" / "checkpoints" / "gen-0001.json").read_text()
+
+    def edited(edit):
+        doc = json.loads(text)
+        edit(doc)
+        return json.dumps(doc)
+
+    broken = {
+        "truncated": text[: len(text) // 2],
+        "unknown-key": edited(lambda d: d["config"].update(bogus=1)),
+        "mistyped-key": edited(lambda d: d["config"].update(iterations="twelve")),
+        "wrong-version": edited(lambda d: d.update(version=99)),
+        "missing-section": edited(lambda d: d.pop("state")),
+        "wrong-typed-section": edited(lambda d: d.update(counters=[])),
+    }
+    capsys.readouterr()
+    for name, content in broken.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(content)
+        assert main(["run", "--resume", str(path), "--out", str(tmp_path / name)]) == 1, name
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed checkpoint") and err.count("\n") == 1, err
+
+
 def test_cmd_run_seed_flag_overrides_config(tmp_path):
     inst = bench_dir(tmp_path)
     responses = [fenced(seed_source("nearest-neighbor"))] * 4

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -67,6 +68,43 @@ def test_config_file_roundtrip(tmp_path):
     assert cfg.timeout_s == 12.5
     assert cfg.per_island_prompts is True
     assert cfg.total_timeout_s is None
+
+
+def test_every_config_field_parses_from_file_and_dict(tmp_path):
+    values = dict(
+        problem="bpp", instances="bench/x", seeds=("first-fit", "best-fit"), iterations=7,
+        islands=3, migration_interval=2, migrants_per_event=2, timeout_s=12.5,
+        total_timeout_s=30.0, rng_seed=9, backend="live", mock_script="s.jsonl",
+        endpoint="http://localhost:1/v1", api_key="k", model="m", temperature=0.5,
+        top_p=0.5, max_tokens=100, parallelism=3, experience_window=4,
+        strategy_temperature=2.0, epsilon_base=0.1, epsilon_raised=0.3, stagnation_window=5,
+        prompt_update_interval=2, per_island_prompts=True, island_per_iteration=True,
+        repair_failed_offspring=True, llm_call_cap=50, checkpoint_interval=2,
+        oracle_tsp_limit=10, oracle_bpp_limit=12,
+    )
+    assert set(values) == {f.name for f in dataclasses.fields(RunConfig)}
+    defaults = RunConfig()
+    assert all(getattr(defaults, key) != value for key, value in values.items())
+    cfg = RunConfig(**values)
+    path = tmp_path / "all.cfg"
+    path.write_text("".join(
+        f"{key} = {', '.join(v) if isinstance(v, tuple) else v}\n" for key, v in values.items()
+    ))
+    assert RunConfig.from_file(path) == cfg
+    assert RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+    bad_text = {"iterations": "twelve", "timeout_s": "fast", "per_island_prompts": "maybe",
+                "seeds": "two-opt,,christofides"}
+    for key, value in bad_text.items():
+        path.write_text(f"{key} = {value}\n")
+        with pytest.raises(ConfigError, match=key):
+            RunConfig.from_file(path)
+    bad_json = {"iterations": 1.5, "timeout_s": [30], "per_island_prompts": 1, "seeds": [1]}
+    for key, value in bad_json.items():
+        with pytest.raises(ConfigError, match=key):
+            RunConfig.from_dict({**cfg.to_dict(), key: value})
+    with pytest.raises(ConfigError, match="unknown key 'bogus'"):
+        RunConfig.from_dict({"bogus": 1})
 
 
 def test_config_file_rejects_unknown_key(tmp_path):
@@ -280,6 +318,23 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     da.pop("wall_time_s")
     db.pop("wall_time_s")
     assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
+
+
+def test_failing_candidate_runs_write_identical_files(tmp_path):
+    generate = [BROKEN, fenced(NN)] * 2
+    script = write_mock_script(tmp_path / "s.jsonl", generate=generate, evolve=["m"] * 2)
+    cfg = config_for(tmp_path, script, iterations=2, islands=2)
+    runs = {name: EvolutionRun(cfg, out_dir=tmp_path / name) for name in ("A", "B")}
+    for run in runs.values():
+        run.run()
+    a, b = tmp_path / "A", tmp_path / "B"
+    names = sorted(p.name for p in (a / "checkpoints").glob("gen-*.json"))
+    assert names == ["gen-0000.json", "gen-0001.json", "gen-0002.json"]
+    for rel in [f"checkpoints/{name}" for name in names] + ["experience.jsonl"]:
+        assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+    failure = runs["A"].experience.records[0]
+    assert failure.failure_class == "syntax/start-failure"
+    assert 'File "candidate.py", line 1' in failure.diagnostic
 
 
 def test_repair_mode_retries_failed_offspring(tmp_path):
