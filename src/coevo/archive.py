@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-from .evaluator import Candidate, EvalReport
+from .codec import decode
+from .errors import ConfigError
+from .evaluator import Candidate, Descriptor, EvalReport
 
 ACCEPTED_NEW = "accepted-new"
 REPLACED = "replaced"
@@ -25,20 +27,6 @@ STAGNATION_WINDOW = 3
 # Fixed descriptor bin edges: relative error in percent, source size in KiB.
 PERFORMANCE_EDGES = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 COMPLEXITY_EDGES_KIB = (1.0, 2.0, 4.0, 8.0, 16.0)
-
-
-@dataclass(frozen=True)
-class Descriptor:
-    performance_bin: int
-    complexity_bin: int
-
-    def key(self) -> str:
-        return f"{self.performance_bin},{self.complexity_bin}"
-
-    @classmethod
-    def from_key(cls, key: str) -> "Descriptor":
-        p, c = key.split(",")
-        return cls(int(p), int(c))
 
 
 def descriptor(candidate: Candidate, report: EvalReport) -> Descriptor:
@@ -59,14 +47,6 @@ class LogEntry:
     descriptor_key: str
     outcome: str
     generation: int
-
-    def to_dict(self) -> dict:
-        return {
-            "candidate_id": self.candidate_id,
-            "descriptor": self.descriptor_key,
-            "outcome": self.outcome,
-            "generation": self.generation,
-        }
 
 
 @dataclass
@@ -107,15 +87,31 @@ class IslandArchive:
 def replay_log(
     log: list[LogEntry], registry: dict[str, Candidate], island_id: int = 0
 ) -> IslandArchive:
-    """Rebuild an archive by re-applying its insertion log."""
+    """Rebuild an archive by re-applying its insertion log; the log must replay exactly."""
     island = IslandArchive(island_id=island_id)
     for entry in log:
-        outcome = island.insert(registry[entry.candidate_id], entry.generation)
-        if outcome != entry.outcome:
-            raise ValueError(
-                f"log replay diverged at {entry.candidate_id}: {outcome} != {entry.outcome}"
-            )
+        candidate = registry.get(entry.candidate_id)
+        if candidate is None:
+            raise ConfigError(f"island {island_id} log: unknown candidate {entry.candidate_id!r}")
+        try:
+            island.insert(candidate, entry.generation)
+        except ValueError as exc:
+            raise ConfigError(f"island {island_id} log: {exc}") from None
+        if island.log[-1] != entry:
+            raise ConfigError(f"island {island_id} log: replay diverged at {entry}")
     return island
+
+
+@dataclass
+class StateSnapshot:
+    """What a checkpoint holds of an EvolutionState; island cells are rebuilt from the logs."""
+
+    generation: int
+    stagnation: int
+    best_id: str | None
+    rng_state: tuple[int, tuple[int, ...], float | None]
+    candidates: dict[str, Candidate]
+    logs: list[list[LogEntry]]  # one insertion log per island
 
 
 @dataclass
@@ -149,48 +145,35 @@ class EvolutionState:
         return False
 
     def to_dict(self) -> dict:
-        state = self.rng.getstate()
-        return {
-            "generation": self.generation,
-            "stagnation": self.stagnation,
-            "best_id": self.best_so_far.id if self.best_so_far else None,
-            "rng_state": [state[0], list(state[1]), state[2]],
-            "candidates": {cid: c.to_dict() for cid, c in sorted(self.candidates.items())},
-            "islands": [
-                {
-                    "island_id": isl.island_id,
-                    "cells": {d.key(): c.id for d, c in isl.occupied()},
-                    "log": [e.to_dict() for e in isl.log],
-                }
-                for isl in self.islands
-            ],
-        }
+        return asdict(StateSnapshot(
+            generation=self.generation,
+            stagnation=self.stagnation,
+            best_id=self.best_so_far.id if self.best_so_far else None,
+            rng_state=self.rng.getstate(),
+            candidates=dict(sorted(self.candidates.items())),
+            logs=[isl.log for isl in self.islands],
+        ))
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvolutionState":
+        """Restore the RNG, resolve ids and replay each island's log into its cells."""
+        snap = decode(StateSnapshot, d, "state")
         rng = random.Random()
-        s0, s1, s2 = d["rng_state"]
-        rng.setstate((s0, tuple(s1), s2))
-        candidates = {cid: Candidate.from_dict(cd) for cid, cd in d["candidates"].items()}
-        islands = []
-        for isl in d["islands"]:
-            archive = IslandArchive(island_id=isl["island_id"])
-            archive.cells = {
-                Descriptor.from_key(k): candidates[cid] for k, cid in isl["cells"].items()
-            }
-            archive.log = [
-                LogEntry(e["candidate_id"], e["descriptor"], e["outcome"], e["generation"])
-                for e in isl["log"]
-            ]
-            islands.append(archive)
-        best = candidates[d["best_id"]] if d.get("best_id") else None
+        try:
+            rng.setstate(snap.rng_state)
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"state/rng_state: {exc}") from None
+        islands = [replay_log(log, snap.candidates, i) for i, log in enumerate(snap.logs)]
+        best = snap.candidates.get(snap.best_id)
+        if best is None and (snap.best_id is not None or any(snap.logs)):
+            raise ConfigError(f"state/best_id: no candidate {snap.best_id!r}")
         return cls(
             islands=islands,
             rng=rng,
-            generation=d["generation"],
+            generation=snap.generation,
             best_so_far=best,
-            stagnation=d["stagnation"],
-            candidates=candidates,
+            stagnation=snap.stagnation,
+            candidates=snap.candidates,
         )
 
 

@@ -24,7 +24,8 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
-from .errors import ConfigError, MissingOptimumError
+from .codec import decode
+from .errors import MissingOptimumError
 from .heuristics import Packing, Tour, tour_length_core, validate_packing, validate_tour
 from .instances import Instance, InstanceSet, TspInstance
 from .oracles import relative_error
@@ -36,6 +37,18 @@ FAIL_CONSTRAINT = "constraint-violation"
 FAIL_SUPER_OPTIMAL = "super-optimal"
 
 DIAGNOSTIC_LIMIT = 4096
+ENV_ALLOWLIST = ("PATH",)  # the only variables a candidate inherits
+
+
+@dataclass(frozen=True)
+class Descriptor:
+    """A scored candidate's archive cell: solution-quality bin x source-size bin."""
+
+    performance_bin: int
+    complexity_bin: int
+
+    def key(self) -> str:
+        return f"{self.performance_bin},{self.complexity_bin}"
 
 
 @dataclass
@@ -44,58 +57,28 @@ class Candidate:
 
     id: str
     source: str
-    language_tag: str = "python"
     parent_id: str | None = None
     island: int = 0
     generation: int = 0
     strategy_used: str = "seed"
-    descriptor: Any = None
+    descriptor: Descriptor | None = None
     performance: float | None = None
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        if self.descriptor is not None:
-            d["descriptor"] = [self.descriptor.performance_bin, self.descriptor.complexity_bin]
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Candidate":
-        from .archive import Descriptor
-
-        desc = d.get("descriptor")
-        return cls(**{**d, "descriptor": Descriptor(*desc) if desc else None})
-
-
-def _default_commands() -> dict[str, tuple[str, ...]]:
-    return {"python": (sys.executable, "{source}")}
 
 
 @dataclass
 class RunnerConfig:
-    """How candidate processes are launched and bounded.
+    """How candidate processes are bounded."""
 
-    ``commands`` maps a candidate's language_tag to its launch template;
-    ``{source}`` is replaced with the temp file holding the program text.
-    """
-
-    commands: dict[str, tuple[str, ...]] = field(default_factory=_default_commands)
     timeout_s: float = 600.0
     total_timeout_s: float | None = None  # optional per-candidate budget
     max_output_bytes: int = 1 << 20
-    env_allowlist: tuple[str, ...] = ("PATH",)
     workers: int = 1
-    diagnostic_limit: int = DIAGNOSTIC_LIMIT
 
     def __post_init__(self) -> None:
         if not self.timeout_s > 0:
             raise ValueError("timeout must be positive")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-
-    def command_for(self, language_tag: str) -> tuple[str, ...]:
-        if language_tag not in self.commands:
-            raise ConfigError(f"no runner command for language_tag {language_tag!r}")
-        return self.commands[language_tag]
 
 
 @dataclass
@@ -120,20 +103,9 @@ class InstanceOutcome:
     instance_name: str
     objective: float | None = None
     rel_error: float | None = None
-    wall_time_s: float = 0.0
     valid: bool = False
     failure_class: str | None = None
     diagnostic: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "instance": self.instance_name,
-            "objective": self.objective,
-            "rel_error": self.rel_error,
-            "valid": self.valid,
-            "failure_class": self.failure_class,
-            "diagnostic": self.diagnostic,
-        }
 
 
 @dataclass
@@ -147,34 +119,11 @@ class EvalReport:
     diagnostic: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "candidate_id": self.candidate_id,
-            "records": [r.to_dict() for r in self.records],
-            "mean_relative_error": self.mean_relative_error,
-            "failure_class": self.failure_class,
-            "diagnostic": self.diagnostic,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalReport":
-        records = [
-            InstanceOutcome(
-                instance_name=r["instance"],
-                objective=r["objective"],
-                rel_error=r["rel_error"],
-                valid=r["valid"],
-                failure_class=r["failure_class"],
-                diagnostic=r["diagnostic"],
-            )
-            for r in d.get("records", [])
-        ]
-        return cls(
-            candidate_id=d["candidate_id"],
-            records=records,
-            mean_relative_error=d.get("mean_relative_error"),
-            failure_class=d.get("failure_class"),
-            diagnostic=d.get("diagnostic", ""),
-        )
+        return decode(cls, d, "report")
 
 
 def instance_document(instance: Instance) -> str:
@@ -219,7 +168,7 @@ def _trunc(text: str, limit: int) -> str:
 def _parse_solution(stdout: str, instance: Instance) -> tuple[Any, str | None]:
     try:
         doc = json.loads(stdout)
-    except (json.JSONDecodeError, ValueError):
+    except (ValueError, RecursionError):  # RecursionError: nesting too deep to decode
         return None, "output is not a JSON document"
     if not isinstance(doc, dict):
         return None, "output is not a JSON object"
@@ -244,21 +193,18 @@ def run_candidate(
     candidate: Candidate, instance: Instance, cfg: RunnerConfig
 ) -> InstanceOutcome:
     """Execute one candidate on one instance and judge the result."""
-    template = cfg.command_for(candidate.language_tag)
     raw = RawResult()
-    started_at = time.monotonic()
     with tempfile.TemporaryDirectory(prefix="coevo-run-") as tmp:
         program = Path(tmp) / "candidate.py"
         program.write_text(candidate.source)
-        cmd = [part.replace("{source}", str(program)) for part in template]
         # tracebacks name the program by this path; dropping the random
         # directory keeps diagnostics, and the files they reach, reproducible
         private = tmp + os.sep
-        env = {k: os.environ[k] for k in cfg.env_allowlist if k in os.environ}
+        env = {k: os.environ[k] for k in ENV_ALLOWLIST if k in os.environ}
         env["PYTHONHASHSEED"] = "0"
         try:
             proc = subprocess.run(
-                cmd,
+                [sys.executable, str(program)],
                 input=instance_document(instance) + "\n",
                 capture_output=True,
                 text=True,
@@ -271,13 +217,13 @@ def run_candidate(
             raw.stderr = proc.stderr.replace(private, "")
         except subprocess.TimeoutExpired as exc:
             raw.timed_out = True
-            raw.stderr = str(exc.stderr or "").replace(private, "")
+            # partial output is bytes even in text mode
+            raw.stderr = (exc.stderr or b"").decode(errors="replace").replace(private, "")
         except OSError as exc:
             raw.started = False
             raw.start_error = str(exc)
-    wall = time.monotonic() - started_at
 
-    outcome = InstanceOutcome(instance_name=instance.name, wall_time_s=wall)
+    outcome = InstanceOutcome(instance_name=instance.name)
     solution = None
     if raw.started and not raw.timed_out and raw.exit_code == 0:
         if len(raw.stdout.encode("utf-8", errors="replace")) > cfg.max_output_bytes:
@@ -318,7 +264,7 @@ def run_candidate(
             outcome.rel_error = relative_error(outcome.objective, instance.known_optimal)
         return outcome
 
-    outcome.failure_class, outcome.diagnostic = classify_failure(raw, cfg.diagnostic_limit)
+    outcome.failure_class, outcome.diagnostic = classify_failure(raw)
     return outcome
 
 

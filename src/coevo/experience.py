@@ -11,6 +11,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from .codec import decode
 from .errors import DanglingReferenceError
 
 OUTCOME_IMPROVED = "improved"
@@ -44,12 +45,13 @@ class ExperienceRecord:
         elif self.delta is None:
             raise ValueError(f"{self.outcome} records require a delta")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperienceRecord":
-        return cls(**d)
+@dataclass
+class ExperienceLog:
+    """What a checkpoint holds of an ExperienceStore."""
+
+    records: list[ExperienceRecord]
+    known: list[str]  # every registered candidate id
 
 
 def make_outcome(parent_error: float, child_error: float) -> tuple[str, float]:
@@ -80,7 +82,7 @@ class ExperienceStore:
         self._records.append(rec)
         if self._path is not None:
             with self._path.open("a") as fh:
-                fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
+                fh.write(json.dumps(asdict(rec), sort_keys=True) + "\n")
 
     def __len__(self) -> int:
         return len(self._records)
@@ -93,18 +95,18 @@ class ExperienceStore:
         return tuple(self._records)
 
     def to_dict(self) -> dict:
-        return {"records": [r.to_dict() for r in self._records], "known": sorted(self._known)}
+        return asdict(ExperienceLog(self._records, sorted(self._known)))
 
     @classmethod
     def from_dict(cls, d: dict, path: str | Path | None = None) -> "ExperienceStore":
+        log = decode(ExperienceLog, d, "experience")
         store = cls(path)
-        store._known = set(d.get("known", []))
-        for rd in d.get("records", []):
-            store._records.append(ExperienceRecord.from_dict(rd))
+        store._known = set(log.known)
+        store._records = log.records
         if store._path is not None:
             with store._path.open("w") as fh:
                 for rec in store._records:
-                    fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
+                    fh.write(json.dumps(asdict(rec), sort_keys=True) + "\n")
         return store
 
 

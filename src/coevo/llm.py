@@ -97,11 +97,12 @@ class MockBackend:
         self._cursor[key] = i + 1
         return CompletionResponse(text=self._script[key][i])
 
-    def state_dict(self) -> dict:
-        return {"cursor": dict(self._cursor)}
+    def state_dict(self) -> dict[str, int]:
+        """The next response index per script key."""
+        return dict(self._cursor)
 
-    def load_state_dict(self, state: dict) -> None:
-        for k, v in state.get("cursor", {}).items():
+    def load_state_dict(self, cursor: dict[str, int]) -> None:
+        for k, v in cursor.items():
             if k in self._cursor:
                 self._cursor[k] = v
 

@@ -21,6 +21,7 @@ from pathlib import Path
 
 from . import archive as arch
 from .archive import EvolutionState, MigrationConfig, descriptor
+from .codec import EXPECTED, decode
 from .errors import ConfigError, EmptyResponseError, LlmError
 from .evaluator import Candidate, EvalReport, RunnerConfig, evaluate_candidate
 from .experience import (
@@ -43,14 +44,15 @@ from .promptevo import (
 )
 from .seeds import SEEDS, seed_source
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 REPORT_VERSION = 1
 # EvolutionRun attributes a checkpoint holds besides the state, prompts,
-# experience, reports and llm cursors it rebuilds.
-COUNTERS = (
-    "base_errors", "trace", "strategy_usage", "generated", "executable", "events",
-    "llm_calls", "next_seq", "pending_repair", "initialized",
-)
+# experience, reports and llm cursors it rebuilds, with their JSON types.
+COUNTERS = {
+    "base_errors": dict[str, float], "trace": list[float], "strategy_usage": dict[str, int],
+    "generated": list[int], "executable": list[int], "events": list[str], "llm_calls": int,
+    "next_seq": int, "pending_repair": dict[str, str], "initialized": bool,
+}
 
 
 @dataclass
@@ -137,7 +139,7 @@ class RunConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
         """JSON values, as a checkpoint holds them; each is checked against its field's type."""
-        return cls(**{key: _coerce(key, value, "config") for key, value in d.items()})
+        return decode(cls, d, "config")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
@@ -157,44 +159,36 @@ class RunConfig:
 
 _FIELD_TYPES = typing.get_type_hints(RunConfig)
 _BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
-_EXPECTED = {bool: "true/false", int: "an integer", float: "a number", str: "a string"}
 
 
-def _coerce(key: str, value: object, where: str) -> object:
-    """``value`` as the type of RunConfig field ``key``.
+def _coerce(key: str, text: str, where: str) -> object:
+    """Config text as the type of RunConfig field ``key``.
 
-    A ``str`` is config text and is parsed: ``none`` or empty unsets an
-    optional field, flags take true/false/yes/no/1/0, tuples are
-    comma-separated. Any other value is JSON and must already have the type.
+    ``none`` or empty unsets an optional field, flags take
+    true/false/yes/no/1/0, tuples are comma-separated.
     """
     kind = _FIELD_TYPES.get(key)
     if kind is None:
         raise ConfigError(f"{where}: unknown key {key!r}")
-    text = isinstance(value, str)
     if type(None) in typing.get_args(kind):  # T | None
-        if value is None or (text and value.lower() in ("none", "")):
+        if text.lower() in ("none", ""):
             return None
         kind = next(t for t in typing.get_args(kind) if t is not type(None))
     if kind is bool:
-        if isinstance(value, bool) or (text and value.lower() in _BOOL_WORDS):
-            return _BOOL_WORDS[str(value).lower()]
+        if text.lower() in _BOOL_WORDS:
+            return _BOOL_WORDS[text.lower()]
     elif kind in (int, float):
-        numeric = (int, float) if kind is float else int
         try:
-            if text or (isinstance(value, numeric) and not isinstance(value, bool)):
-                return kind(value)
+            return kind(text)
         except ValueError:
             pass
     elif kind is str:
-        if text:
-            return value
+        return text
     else:  # tuple[str, ...]
-        items = value.split(",") if text else value
-        if isinstance(items, (list, tuple)) and all(
-            isinstance(item, str) and item.strip() for item in items
-        ):
-            return tuple(item.strip() for item in items)
-    raise ConfigError(f"{where}: {key} must be {_EXPECTED.get(kind, 'comma-separated names')}")
+        items = tuple(item.strip() for item in text.split(","))
+        if all(items):
+            return items
+    raise ConfigError(f"{where}: {key} must be {EXPECTED.get(kind, 'comma-separated names')}")
 
 
 @dataclass
@@ -615,18 +609,18 @@ class EvolutionRun:
         run = cls(config, out_dir=out_dir, backend=backend)
         with _malformed_checkpoint(path):
             run.state = EvolutionState.from_dict(doc["state"])
-            run.prompts = [PromptState.from_dict(p) for p in doc["prompts"]]
+            run.prompts = decode(list[PromptState], doc["prompts"], "prompts")
             exp_path = run.out / "experience.jsonl" if run.out else None
             run.experience = ExperienceStore.from_dict(doc["experience"], exp_path)
-            run.reports = {cid: EvalReport.from_dict(r) for cid, r in doc["reports"].items()}
+            run.reports = decode(dict[str, EvalReport], doc["reports"], "reports")
             if isinstance(run.backend, MockBackend):
-                run.backend.load_state_dict(doc["llm_state"])
-            for name in COUNTERS:
-                value = doc["counters"][name]
-                if type(value) is not type(getattr(run, name)):
-                    raise TypeError(f"counter {name} has type {type(value).__name__}")
-                setattr(run, name, value)
+                run.backend.load_state_dict(decode(dict[str, int], doc["llm_state"], "llm_state"))
+            for name, kind in COUNTERS.items():
+                setattr(run, name, decode(kind, doc["counters"][name], f"counters/{name}"))
             run.pending_repair = {int(k): v for k, v in run.pending_repair.items()}
+            known = run.state.candidates.keys()
+            if run.reports.keys() != known or not known >= set(run.pending_repair.values()):
+                raise ConfigError("reports and pending repairs must name the candidates in state")
         return run
 
 
@@ -636,7 +630,7 @@ def _malformed_checkpoint(path: str | Path):
         yield
     except KeyError as exc:
         raise ConfigError(f"malformed checkpoint {path}: missing key {exc}") from None
-    except (ConfigError, LookupError, TypeError, ValueError, AttributeError) as exc:
+    except (ConfigError, LookupError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed checkpoint {path}: {exc}") from None
 
 

@@ -14,6 +14,7 @@ import re
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 
+from .codec import decode
 from .errors import LlmError
 from .evaluator import Candidate, EvalReport
 from .experience import ExperienceSummary, render_summary
@@ -122,6 +123,16 @@ class PromptVersion:
 
 
 @dataclass
+class Watch:
+    """An armed revert watchdog: the switch it judges and the baseline to beat."""
+
+    switch_generation: int
+    prior_id: int
+    new_id: int
+    baseline: float
+
+
+@dataclass
 class PromptState:
     """Append-only version history with a revert watchdog."""
 
@@ -130,7 +141,7 @@ class PromptState:
     current_id: int = 0
     events: list[str] = field(default_factory=list)
     history: list[tuple[int, float]] = field(default_factory=list)  # (generation, best error)
-    watch: dict | None = None
+    watch: Watch | None = None
 
     @classmethod
     def initial(cls, task: str) -> "PromptState":
@@ -155,12 +166,7 @@ class PromptState:
         self.current_id = version.id
         recent = [err for _, err in self.history[-BASELINE_SPAN:]]
         baseline = sum(recent) / len(recent) if recent else math.inf
-        self.watch = {
-            "switch_generation": generation,
-            "prior_id": prior_id,
-            "new_id": version.id,
-            "baseline": baseline,
-        }
+        self.watch = Watch(generation, prior_id, version.id, baseline)
         self.events.append(f"gen {generation}: adopted version {version.id}")
         return version
 
@@ -174,14 +180,13 @@ class PromptState:
         self.history.append((generation, best_error))
         if self.watch is None:
             return False
-        switch_gen = self.watch["switch_generation"]
-        post = [err for g, err in self.history if g > switch_gen]
+        post = [err for g, err in self.history if g > self.watch.switch_generation]
         if len(post) < REVERT_PROBATION:
             return False
-        baseline = self.watch["baseline"]
+        baseline = self.watch.baseline
         if all(err >= baseline for err in post[:REVERT_PROBATION]):
-            new_id = self.watch["new_id"]
-            prior_id = self.watch["prior_id"]
+            new_id = self.watch.new_id
+            prior_id = self.watch.prior_id
             self.versions[new_id].discarded = True
             self.current_id = prior_id
             self.events.append(
@@ -198,11 +203,7 @@ class PromptState:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PromptState":
-        return cls(**{
-            **d,
-            "versions": [PromptVersion(**v) for v in d["versions"]],
-            "history": [(g, e) for g, e in d["history"]],
-        })
+        return decode(cls, d, "prompt")
 
 
 _PLACEHOLDER = re.compile(

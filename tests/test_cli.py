@@ -309,6 +309,12 @@ def test_cmd_run_resume_malformed_checkpoint_exit_1(tmp_path, capsys):
         "wrong-version": edited(lambda d: d.update(version=99)),
         "missing-section": edited(lambda d: d.pop("state")),
         "wrong-typed-section": edited(lambda d: d.update(counters=[])),
+        "nested-leaf": edited(
+            lambda d: d["experience"]["records"][0].update(child_error="x")
+        ),
+        "unknown-id": edited(lambda d: d["state"].update(best_id="c999999")),
+        "log-mismatch": edited(lambda d: d["state"]["logs"][0][0].update(outcome="rejected")),
+        "missing-report": edited(lambda d: d["reports"].pop("c000000")),
     }
     capsys.readouterr()
     for name, content in broken.items():

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import random
 
 import pytest
 
@@ -318,6 +319,47 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     da.pop("wall_time_s")
     db.pop("wall_time_s")
     assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
+
+
+def checkpoint_leaves(node, path=()):
+    """Paths to every scalar and every empty container in a JSON document."""
+    if isinstance(node, (dict, list)) and node:
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from checkpoint_leaves(child, (*path, key))
+    else:
+        yield path
+
+
+def test_checkpoint_leaf_mutations_fail_cleanly(tmp_path):
+    # one wrong-typed leaf per trial: the resume is a ConfigError or a finished run
+    generate = [fenced(NN), BROKEN, fenced(TWO_OPT)]
+    script = write_mock_script(tmp_path / "s.jsonl", generate=generate, evolve=["m"] * 3)
+    cfg = config_for(tmp_path, script, iterations=3, islands=1)
+    EvolutionRun(cfg, out_dir=tmp_path / "full").run()
+    text = (tmp_path / "full" / "checkpoints" / "gen-0002.json").read_text()
+    doc = json.loads(text)
+    # the 624 words of the RNG state vector count as one leaf
+    paths = [p for p in checkpoint_leaves(doc)
+             if p[:3] != ("state", "rng_state", 1) or p[3] == 0]
+    rng = random.Random(6)
+    outcomes = {"ConfigError": 0, "completed": 0}
+    for k, path in enumerate(rng.sample(paths, 30)):
+        mutated = json.loads(text)
+        parent = mutated
+        for key in path[:-1]:
+            parent = parent[key]
+        old = parent[path[-1]]
+        parent[path[-1]] = rng.choice(
+            [v for v in ("x", 7, 1.5, True, None, [], {}) if type(v) is not type(old)]
+        )
+        ckpt = tmp_path / f"trial{k}.json"
+        ckpt.write_text(json.dumps(mutated))
+        try:
+            resume(ckpt, out_dir=tmp_path / f"trial{k}")
+            outcomes["completed"] += 1
+        except ConfigError:
+            outcomes["ConfigError"] += 1
+    assert outcomes["ConfigError"] > 0, outcomes
 
 
 def test_failing_candidate_runs_write_identical_files(tmp_path):
