@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -82,23 +83,6 @@ class RunnerConfig:
 
 
 @dataclass
-class RawResult:
-    """Unjudged facts from one candidate execution."""
-
-    started: bool = True
-    start_error: str = ""
-    timed_out: bool = False
-    exit_code: int = 0
-    stdout: str = ""
-    stderr: str = ""
-    oversized: bool = False
-    parse_error: str | None = None
-    violation_kind: str | None = None  # "tour" | "coverage" | "capacity"
-    violation: str | None = None
-    super_optimal_gap: float | None = None
-
-
-@dataclass
 class InstanceOutcome:
     instance_name: str
     objective: float | None = None
@@ -136,35 +120,6 @@ def instance_document(instance: Instance) -> str:
     return json.dumps(doc, separators=(",", ":"))
 
 
-def classify_failure(raw: RawResult, limit: int = DIAGNOSTIC_LIMIT) -> tuple[str, str]:
-    """Map raw execution facts to (failure_class, diagnostic)."""
-    if not raw.started:
-        return FAIL_START, _trunc(raw.start_error, limit)
-    if raw.timed_out:
-        return FAIL_TIMEOUT, _trunc("process terminated at timeout; " + raw.stderr, limit)
-    if raw.exit_code != 0:
-        return FAIL_START, _trunc(raw.stderr or f"exit code {raw.exit_code}", limit)
-    if raw.oversized:
-        return FAIL_INVALID, _trunc("output exceeds size cap", limit)
-    if raw.parse_error is not None:
-        return FAIL_INVALID, _trunc(f"{raw.parse_error}; stdout: {raw.stdout}", limit)
-    if raw.violation is not None:
-        cls = FAIL_CONSTRAINT if raw.violation_kind == "capacity" else FAIL_INVALID
-        return cls, _trunc(raw.violation, limit)
-    if raw.super_optimal_gap is not None:
-        return FAIL_SUPER_OPTIMAL, _trunc(
-            f"objective beats the known optimum by {raw.super_optimal_gap}; "
-            "solution or optimum data is corrupt",
-            limit,
-        )
-    raise ValueError("outcome is not a failure")
-
-
-def _trunc(text: str, limit: int) -> str:
-    text = text.strip()
-    return text if len(text) <= limit else text[:limit]
-
-
 def _parse_solution(stdout: str, instance: Instance) -> tuple[Any, str | None]:
     try:
         doc = json.loads(stdout)
@@ -189,83 +144,98 @@ def _objective(solution: Tour | Packing, instance: Instance) -> float:
     return solution.bin_count()
 
 
+def _execute(
+    candidate: Candidate, instance: Instance, cfg: RunnerConfig
+) -> str | tuple[str, str]:
+    """Run the candidate once: its stdout, or (failure_class, diagnostic).
+
+    The candidate leads its own session, and the whole session is killed on
+    every way out of here, so no process it started outlives the call.
+    """
+    with tempfile.TemporaryDirectory(prefix="coevo-run-") as tmp:
+        program = Path(tmp) / "candidate.py"
+        # a lone surrogate in generated text becomes bytes the child rejects as a
+        # SyntaxError, instead of an encoding error here that would end the run
+        program.write_text(candidate.source, errors="surrogatepass")
+        env = {k: os.environ[k] for k in ENV_ALLOWLIST if k in os.environ}
+        env["PYTHONHASHSEED"] = "0"
+        timed_out = False
+        try:
+            proc = subprocess.Popen(
+                [sys.executable, str(program)],
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                cwd=tmp,
+                env=env,
+                start_new_session=True,
+            )
+        except OSError as exc:
+            return FAIL_START, str(exc)
+        with proc:
+            try:
+                stdout, stderr = proc.communicate(
+                    (instance_document(instance) + "\n").encode(), timeout=cfg.timeout_s
+                )
+            except subprocess.TimeoutExpired as exc:
+                timed_out, stdout, stderr = True, b"", exc.stderr or b""
+            finally:
+                try:
+                    os.killpg(proc.pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+                proc.wait()
+    # tracebacks name the program by its path; dropping the random directory
+    # keeps diagnostics, and the files they reach, reproducible
+    errors = stderr.decode(errors="replace").replace(tmp + os.sep, "")
+    if timed_out:
+        return FAIL_TIMEOUT, "process terminated at timeout; " + errors
+    if proc.returncode != 0:
+        return FAIL_START, errors or f"exit code {proc.returncode}"
+    if len(stdout) > cfg.max_output_bytes:
+        return FAIL_INVALID, "output exceeds size cap"
+    return stdout.decode(errors="replace")
+
+
+def _judge(stdout: str, instance: Instance) -> InstanceOutcome:
+    """Parse, validate and score one completed execution's output."""
+    solution, parse_error = _parse_solution(stdout, instance)
+    if parse_error is not None:
+        return _failed(instance, FAIL_INVALID, f"{parse_error}; stdout: {stdout}")
+    if isinstance(instance, TspInstance):
+        cls, violation = FAIL_INVALID, validate_tour(instance, solution)
+    else:
+        violation = validate_packing(instance, solution)
+        cls = FAIL_CONSTRAINT if violation and "over capacity" in violation else FAIL_INVALID
+    if violation is not None:
+        return _failed(instance, cls, violation)
+    objective = _objective(solution, instance)
+    opt = instance.known_optimal
+    if opt is None:
+        return InstanceOutcome(instance.name, objective, valid=True)
+    if objective < opt - 1e-9 * max(1.0, abs(opt)):
+        return _failed(
+            instance,
+            FAIL_SUPER_OPTIMAL,
+            f"objective beats the known optimum by {opt - objective}; "
+            "solution or optimum data is corrupt",
+        )
+    return InstanceOutcome(instance.name, objective, relative_error(objective, opt), valid=True)
+
+
+def _failed(instance: Instance, failure_class: str, diagnostic: str) -> InstanceOutcome:
+    diagnostic = diagnostic.strip()[:DIAGNOSTIC_LIMIT]
+    return InstanceOutcome(instance.name, failure_class=failure_class, diagnostic=diagnostic)
+
+
 def run_candidate(
     candidate: Candidate, instance: Instance, cfg: RunnerConfig
 ) -> InstanceOutcome:
     """Execute one candidate on one instance and judge the result."""
-    raw = RawResult()
-    with tempfile.TemporaryDirectory(prefix="coevo-run-") as tmp:
-        program = Path(tmp) / "candidate.py"
-        program.write_text(candidate.source)
-        # tracebacks name the program by this path; dropping the random
-        # directory keeps diagnostics, and the files they reach, reproducible
-        private = tmp + os.sep
-        env = {k: os.environ[k] for k in ENV_ALLOWLIST if k in os.environ}
-        env["PYTHONHASHSEED"] = "0"
-        try:
-            proc = subprocess.run(
-                [sys.executable, str(program)],
-                input=instance_document(instance) + "\n",
-                capture_output=True,
-                text=True,
-                timeout=cfg.timeout_s,
-                cwd=tmp,
-                env=env,
-            )
-            raw.exit_code = proc.returncode
-            raw.stdout = proc.stdout
-            raw.stderr = proc.stderr.replace(private, "")
-        except subprocess.TimeoutExpired as exc:
-            raw.timed_out = True
-            # partial output is bytes even in text mode
-            raw.stderr = (exc.stderr or b"").decode(errors="replace").replace(private, "")
-        except OSError as exc:
-            raw.started = False
-            raw.start_error = str(exc)
-
-    outcome = InstanceOutcome(instance_name=instance.name)
-    solution = None
-    if raw.started and not raw.timed_out and raw.exit_code == 0:
-        if len(raw.stdout.encode("utf-8", errors="replace")) > cfg.max_output_bytes:
-            raw.oversized = True
-        else:
-            solution, raw.parse_error = _parse_solution(raw.stdout, instance)
-            if solution is not None:
-                if isinstance(instance, TspInstance):
-                    raw.violation = validate_tour(instance, solution)
-                    raw.violation_kind = "tour" if raw.violation else None
-                else:
-                    raw.violation = validate_packing(instance, solution)
-                    if raw.violation:
-                        raw.violation_kind = (
-                            "capacity" if "over capacity" in raw.violation else "coverage"
-                        )
-                if raw.violation is None:
-                    value = _objective(solution, instance)
-                    opt = instance.known_optimal
-                    if opt is not None:
-                        tol = 1e-9 * max(1.0, abs(opt))
-                        if value < opt - tol:
-                            raw.super_optimal_gap = opt - value
-
-    if (
-        raw.started
-        and not raw.timed_out
-        and raw.exit_code == 0
-        and not raw.oversized
-        and raw.parse_error is None
-        and raw.violation is None
-        and raw.super_optimal_gap is None
-        and solution is not None
-    ):
-        outcome.valid = True
-        outcome.objective = _objective(solution, instance)
-        if instance.known_optimal is not None:
-            outcome.rel_error = relative_error(outcome.objective, instance.known_optimal)
-        return outcome
-
-    outcome.failure_class, outcome.diagnostic = classify_failure(raw)
-    return outcome
+    result = _execute(candidate, instance, cfg)
+    if isinstance(result, tuple):
+        return _failed(instance, *result)
+    return _judge(result, instance)
 
 
 def evaluate_candidate(

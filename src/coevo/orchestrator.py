@@ -608,8 +608,21 @@ class EvolutionRun:
             config = RunConfig.from_dict(doc["config"])
         run = cls(config, out_dir=out_dir, backend=backend)
         with _malformed_checkpoint(path):
-            run.state = EvolutionState.from_dict(doc["state"])
-            run.prompts = decode(list[PromptState], doc["prompts"], "prompts")
+            state = EvolutionState.from_dict(doc["state"])
+            if len(state.islands) != config.islands:
+                raise ConfigError(
+                    f"state/logs holds {len(state.islands)} islands, config has {config.islands}"
+                )
+            prompts = decode(list[PromptState], doc["prompts"], "prompts")
+            if len(prompts) != len(run.prompts):
+                raise ConfigError(f"prompts holds {len(prompts)} states, expected {len(run.prompts)}")
+            for i, pstate in enumerate(prompts):
+                named = [pstate.current_id]
+                if pstate.watch is not None:
+                    named += [pstate.watch.prior_id, pstate.watch.new_id]
+                if not all(0 <= v < len(pstate.versions) for v in named):
+                    raise ConfigError(f"prompts/{i} names a version it does not hold")
+            run.state, run.prompts = state, prompts
             exp_path = run.out / "experience.jsonl" if run.out else None
             run.experience = ExperienceStore.from_dict(doc["experience"], exp_path)
             run.reports = decode(dict[str, EvalReport], doc["reports"], "reports")

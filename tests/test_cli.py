@@ -315,6 +315,9 @@ def test_cmd_run_resume_malformed_checkpoint_exit_1(tmp_path, capsys):
         "unknown-id": edited(lambda d: d["state"].update(best_id="c999999")),
         "log-mismatch": edited(lambda d: d["state"]["logs"][0][0].update(outcome="rejected")),
         "missing-report": edited(lambda d: d["reports"].pop("c000000")),
+        "no-prompts": edited(lambda d: d.update(prompts=[])),
+        "unknown-version": edited(lambda d: d["prompts"][0].update(current_id=99)),
+        "missing-island-log": edited(lambda d: d["state"]["logs"].pop()),
     }
     capsys.readouterr()
     for name, content in broken.items():

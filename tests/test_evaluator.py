@@ -1,6 +1,10 @@
 import dataclasses
 import json
+import os
 import random
+import re
+import time
+from pathlib import Path
 
 import pytest
 
@@ -14,9 +18,7 @@ from coevo.evaluator import (
     FAIL_TIMEOUT,
     Candidate,
     EvalReport,
-    RawResult,
     RunnerConfig,
-    classify_failure,
     evaluate_candidate,
     instance_document,
     run_candidate,
@@ -186,26 +188,55 @@ def test_oversized_output_is_invalid(unit_square):
     assert "size cap" in outcome.diagnostic
 
 
-def test_classify_failure_directly():
-    cls, diag = classify_failure(RawResult(exit_code=1, stderr="Traceback...\nValueError: x"))
-    assert cls == FAIL_START
-    assert "ValueError: x" in diag
-    cls, _ = classify_failure(RawResult(timed_out=True))
-    assert cls == FAIL_TIMEOUT
-    cls, diag = classify_failure(
-        RawResult(violation="bin 1 over capacity: 1.2 > 1.0", violation_kind="capacity")
+@pytest.mark.parametrize(
+    "source, failure_class, needle",
+    [
+        ("import sys\nsys.stdout.buffer.write(b'\\xff\\xfe')\n", FAIL_INVALID, "not a JSON"),
+        ("import sys\nsys.stderr.buffer.write(b'\\xff oops')\nsys.exit(3)\n", FAIL_START, "oops"),
+        ("print('\ud800')\n", FAIL_START, "Non-UTF-8"),
+    ],
+    ids=["stdout", "stderr", "source"],
+)
+def test_non_utf8_bytes_are_classified(unit_square, source, failure_class, needle):
+    inst = dataclasses.replace(unit_square, known_optimal=4.0)
+    outcome = run_candidate(Candidate(id="bytes", source=source), inst, FAST)
+    assert outcome.failure_class == failure_class
+    assert needle in outcome.diagnostic
+
+
+def test_long_diagnostic_is_truncated(unit_square):
+    inst = dataclasses.replace(unit_square, known_optimal=4.0)
+    source = "import sys\nsys.stderr.write('x' * 10000)\nsys.exit(1)\n"
+    outcome = run_candidate(Candidate(id="loud", source=source), inst, FAST)
+    assert outcome.failure_class == FAIL_START
+    assert len(outcome.diagnostic) == 4096
+
+
+def _running(pid: int) -> bool:
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process state from /proc")
+def test_timeout_kills_the_candidates_process_group(unit_square):
+    inst = dataclasses.replace(unit_square, known_optimal=4.0)
+    source = (
+        "import subprocess, sys, time\n"
+        "child = subprocess.Popen(['sleep', '30'])\n"
+        "sys.stderr.write(f'grandchild {child.pid}\\n')\n"
+        "sys.stderr.flush()\n"
+        "time.sleep(60)\n"
     )
-    assert cls == FAIL_CONSTRAINT and "bin 1" in diag
-    cls, _ = classify_failure(RawResult(super_optimal_gap=2.0))
-    assert cls == FAIL_SUPER_OPTIMAL
-    with pytest.raises(ValueError):
-        classify_failure(RawResult())
-
-
-def test_diagnostic_truncated():
-    long_err = "x" * 10000
-    _, diag = classify_failure(RawResult(exit_code=1, stderr=long_err), limit=4096)
-    assert len(diag) == 4096
+    outcome = run_candidate(Candidate(id="fork", source=source), inst, RunnerConfig(timeout_s=0.7))
+    assert outcome.failure_class == FAIL_TIMEOUT
+    pid = int(re.search(r"grandchild (\d+)", outcome.diagnostic).group(1))
+    deadline = time.monotonic() + 2.0
+    while _running(pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not _running(pid)
 
 
 # --- evaluate_candidate -----------------------------------------------------------
