@@ -12,14 +12,20 @@ solution.
 
 from __future__ import annotations
 
+import atexit
+import io
 import json
 import math
 import os
+import selectors
 import signal
+import socket
 import subprocess
 import sys
 import tempfile
+import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -38,7 +44,10 @@ FAIL_CONSTRAINT = "constraint-violation"
 FAIL_SUPER_OPTIMAL = "super-optimal"
 
 DIAGNOSTIC_LIMIT = 4096
+MEMORY_LIMIT = 2 << 30  # bytes of address space a candidate may map (RLIMIT_AS)
 ENV_ALLOWLIST = ("PATH",)  # the only variables a candidate inherits
+HELPER = Path(__file__).with_name("forkserver.py")  # the script every candidate is forked from
+HELPER_WAIT_S = 10.0  # longest wait for the helper to answer before it is replaced
 
 
 @dataclass(frozen=True)
@@ -144,57 +153,187 @@ def _objective(solution: Tour | Packing, instance: Instance) -> float:
     return solution.bin_count()
 
 
+class _Forkserver:
+    """This process's connection to its helper, which forks every candidate.
+
+    The helper (``coevo/forkserver.py``) is started on first use and replaced
+    when it dies or stops answering.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._proc: subprocess.Popen | None = None
+        self._sock: socket.socket | None = None
+        atexit.register(self.reset)
+        os.register_at_fork(after_in_child=self._forget)
+
+    def _forget(self) -> None:
+        """In a forked child of this process: drop the parent's helper without
+        stopping it; the child starts its own when it needs one."""
+        if self._sock is not None:
+            self._sock.close()
+        self._lock = threading.Lock()
+        self._proc = self._sock = None
+
+    def spawn(self, cwd: str) -> tuple[int, list[io.FileIO]]:
+        """Fork a candidate in cwd: its pid, and our ends of its stdin, stdout,
+        stderr and exit-status pipes."""
+        with self._lock:
+            for _ in range(2):  # a helper that died since the last call is replaced once
+                stdin, stdout, stderr, status = (os.pipe() for _ in range(4))
+                theirs = [stdin[0], stdout[1], stderr[1], status[1]]
+                ours = [io.FileIO(stdin[1], "w"), io.FileIO(stdout[0]), io.FileIO(stderr[0]),
+                        io.FileIO(status[0])]
+                try:
+                    if self._proc is None:
+                        self._start()
+                    socket.send_fds(self._sock, [cwd.encode()], theirs)
+                    reply = self._sock.recv(4096)
+                except OSError:
+                    reply = b""
+                finally:
+                    for fd in theirs:
+                        os.close(fd)
+                if reply and not reply.startswith(b"!"):
+                    return int(reply), ours
+                for f in ours:
+                    f.close()
+                if reply:
+                    raise OSError(reply[1:].decode(errors="replace"))
+                self._stop()
+            raise OSError("the forkserver exited before starting the candidate")
+
+    def exit_status(self, status: io.FileIO) -> int | None:
+        """The exit code the helper reports on a spawned candidate's status pipe,
+        or None if it never does."""
+        with status, selectors.DefaultSelector() as sel:
+            sel.register(status, selectors.EVENT_READ)
+            if sel.select(HELPER_WAIT_S):
+                reply = status.read()  # the helper writes once and closes; b"" if it died
+                return int(reply) if reply else None
+        self.reset()  # a helper that does not answer is replaced
+        return None
+
+    def reset(self) -> None:
+        """Stop the helper; the next spawn starts a new one."""
+        with self._lock:
+            self._stop()
+
+    def _start(self) -> None:
+        ours, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
+        ours.settimeout(HELPER_WAIT_S)
+        env = {k: os.environ[k] for k in ENV_ALLOWLIST if k in os.environ}
+        env["PYTHONHASHSEED"] = "0"
+        with theirs:
+            try:
+                self._proc = subprocess.Popen(
+                    [sys.executable, "-s", "-S", "-P", str(HELPER), str(MEMORY_LIMIT)],
+                    stdin=theirs,
+                    stdout=subprocess.DEVNULL,
+                    stderr=subprocess.DEVNULL,
+                    env=env,
+                )
+            except OSError:
+                ours.close()
+                raise
+        self._sock = ours
+
+    def _stop(self) -> None:
+        if self._proc is not None:
+            self._sock.close()
+            self._proc.kill()
+            self._proc.wait()
+            self._proc = self._sock = None
+
+
+_FORKSERVER = _Forkserver()
+_DOCUMENTS: dict[int, bytes] = {}  # id(instance) -> its stdin bytes, while the instance lives
+_DOCUMENTS_LOCK = threading.Lock()
+
+
+def _document(instance: Instance) -> bytes:
+    """The bytes a candidate reads on stdin, encoded once per instance object."""
+    with _DOCUMENTS_LOCK:
+        doc = _DOCUMENTS.get(id(instance))
+        if doc is None:
+            doc = _DOCUMENTS[id(instance)] = (instance_document(instance) + "\n").encode()
+            # dropped with the instance, before its id can name another object
+            weakref.finalize(instance, _DOCUMENTS.pop, id(instance), None)
+    return doc
+
+
 def _execute(
     candidate: Candidate, instance: Instance, cfg: RunnerConfig
 ) -> str | tuple[str, str]:
     """Run the candidate once: its stdout, or (failure_class, diagnostic).
 
-    The candidate leads its own session, and the whole session is killed on
-    every way out of here, so no process it started outlives the call.
+    The candidate is forked from the helper and leads its own session. The
+    session is killed on every way out of here, and the helper kills what
+    escaped it before it reports the exit code, so no process the candidate
+    started outlives the call.
     """
     with tempfile.TemporaryDirectory(prefix="coevo-run-") as tmp:
         program = Path(tmp) / "candidate.py"
         # a lone surrogate in generated text becomes bytes the child rejects as a
         # SyntaxError, instead of an encoding error here that would end the run
         program.write_text(candidate.source, errors="surrogatepass")
-        env = {k: os.environ[k] for k in ENV_ALLOWLIST if k in os.environ}
-        env["PYTHONHASHSEED"] = "0"
-        timed_out = False
+        pending = memoryview(_document(instance))
         try:
-            proc = subprocess.Popen(
-                [sys.executable, str(program)],
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE,
-                cwd=tmp,
-                env=env,
-                start_new_session=True,
-            )
+            pid, (stdin, stdout, stderr, status) = _FORKSERVER.spawn(tmp)
         except OSError as exc:
             return FAIL_START, str(exc)
-        with proc:
+        out, err = bytearray(), bytearray()
+        timed_out = over_cap = False
+        deadline = time.monotonic() + cfg.timeout_s
+        os.set_blocking(stdin.fileno(), False)
+        try:
+            with selectors.DefaultSelector() as sel:
+                sel.register(stdin, selectors.EVENT_WRITE)
+                sel.register(stdout, selectors.EVENT_READ)
+                sel.register(stderr, selectors.EVENT_READ)
+                while sel.get_map() and not over_cap:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        timed_out = True
+                        break
+                    for key, _ in sel.select(remaining):
+                        if key.fileobj is stdin:
+                            try:
+                                pending = pending[stdin.write(pending) or 0:]
+                            except BrokenPipeError:  # the candidate stopped reading
+                                pending = pending[:0]
+                            if not pending:
+                                sel.unregister(stdin)
+                                stdin.close()
+                            continue
+                        chunk = key.fileobj.read(1 << 16)
+                        if not chunk:
+                            sel.unregister(key.fileobj)
+                        elif key.fileobj is stdout:
+                            out += chunk
+                            over_cap = len(out) > cfg.max_output_bytes
+                        else:
+                            err += chunk[: cfg.max_output_bytes - len(err)]
+        finally:
             try:
-                stdout, stderr = proc.communicate(
-                    (instance_document(instance) + "\n").encode(), timeout=cfg.timeout_s
-                )
-            except subprocess.TimeoutExpired as exc:
-                timed_out, stdout, stderr = True, b"", exc.stderr or b""
-            finally:
-                try:
-                    os.killpg(proc.pid, signal.SIGKILL)
-                except ProcessLookupError:
-                    pass
-                proc.wait()
+                os.killpg(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            for f in (stdin, stdout, stderr):
+                f.close()
+        code = _FORKSERVER.exit_status(status)
     # tracebacks name the program by its path; dropping the random directory
     # keeps diagnostics, and the files they reach, reproducible
-    errors = stderr.decode(errors="replace").replace(tmp + os.sep, "")
+    errors = err.decode(errors="replace").replace(tmp + os.sep, "")
+    if over_cap:
+        return FAIL_INVALID, "output exceeds size cap"
     if timed_out:
         return FAIL_TIMEOUT, "process terminated at timeout; " + errors
-    if proc.returncode != 0:
-        return FAIL_START, errors or f"exit code {proc.returncode}"
-    if len(stdout) > cfg.max_output_bytes:
-        return FAIL_INVALID, "output exceeds size cap"
-    return stdout.decode(errors="replace")
+    if code is None:
+        return FAIL_START, errors or "the forkserver lost the candidate's exit status"
+    if code != 0:
+        return FAIL_START, errors or f"exit code {code}"
+    return out.decode(errors="replace")
 
 
 def _judge(stdout: str, instance: Instance) -> InstanceOutcome:

@@ -3,6 +3,9 @@ import json
 import os
 import random
 import re
+import signal
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -16,6 +19,7 @@ from coevo.evaluator import (
     FAIL_START,
     FAIL_SUPER_OPTIMAL,
     FAIL_TIMEOUT,
+    MEMORY_LIMIT,
     Candidate,
     EvalReport,
     RunnerConfig,
@@ -237,6 +241,127 @@ def test_timeout_kills_the_candidates_process_group(unit_square):
     while _running(pid) and time.monotonic() < deadline:
         time.sleep(0.05)
     assert not _running(pid)
+
+
+def test_output_flood_is_cut_at_the_cap(unit_square):
+    inst = dataclasses.replace(unit_square, known_optimal=4.0)
+    source = "import sys, time\nsys.stdout.write('x' * (16 << 20))\nsys.stdout.flush()\ntime.sleep(60)\n"
+    started = time.monotonic()
+    outcome = run_candidate(Candidate(id="flood", source=source), inst, RunnerConfig(timeout_s=10))
+    assert outcome.failure_class == FAIL_INVALID
+    assert "size cap" in outcome.diagnostic
+    assert time.monotonic() - started < 5
+
+
+def _wait_gone(pid: int, seconds: float) -> bool:
+    deadline = time.monotonic() + seconds
+    while _running(pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return not _running(pid)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process state from /proc")
+def test_escaped_session_is_reaped(unit_square, tmp_path):
+    inst = dataclasses.replace(unit_square, known_optimal=4.0)
+    pidfile = tmp_path / "grandchild"
+    source = (
+        "import pathlib, subprocess\n"
+        "child = subprocess.Popen(['sleep', '30'], start_new_session=True,\n"
+        "                         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)\n"
+        f"pathlib.Path({str(pidfile)!r}).write_text(str(child.pid))\n"
+        "print('{\"tour\": [0, 1, 2, 3]}')\n"
+    )
+    outcome = run_candidate(Candidate(id="escape", source=source), inst, FAST)
+    assert outcome.valid, outcome.diagnostic
+    assert _wait_gone(int(pidfile.read_text()), 2.0)
+
+
+# a candidate that fails with its parent's pid (the helper's) and its hash of 'abc'
+REPORT_HELPER = "import os, sys\nsys.exit(f'{os.getppid()} {hash(\"abc\")}')\n"
+
+
+def _helper_pid_and_hash(instance) -> tuple[int, int]:
+    outcome = run_candidate(Candidate(id="report", source=REPORT_HELPER), instance, FAST)
+    assert outcome.failure_class == FAIL_START
+    pid, value = map(int, outcome.diagnostic.split())
+    assert pid != os.getpid()
+    return pid, value
+
+
+def test_helper_killed_between_evaluations_is_replaced(unit_square):
+    inst = dataclasses.replace(unit_square, known_optimal=4.0)
+    helper, _ = _helper_pid_and_hash(inst)
+    os.kill(helper, signal.SIGKILL)
+    candidate = Candidate(id="nn", source=seed_source("nearest-neighbor"))
+    assert run_candidate(candidate, inst, FAST).valid
+
+
+def test_helper_killed_during_evaluation_is_classified(unit_square):
+    inst = dataclasses.replace(unit_square, known_optimal=4.0)
+    source = (
+        "import os, signal, time\n"
+        f"if os.getppid() != {os.getpid()}:  # never the test process itself\n"
+        "    os.kill(os.getppid(), signal.SIGKILL)\n"
+        "time.sleep(0.2)\n"
+        "print('{\"tour\": [0, 1, 2, 3]}')\n"
+    )
+    outcome = run_candidate(Candidate(id="regicide", source=source), inst, FAST)
+    assert outcome.failure_class == FAIL_START
+    candidate = Candidate(id="nn", source=seed_source("nearest-neighbor"))
+    assert run_candidate(candidate, inst, FAST).valid
+
+
+def test_hash_seed_is_the_same_in_every_helper(unit_square):
+    inst = dataclasses.replace(unit_square, known_optimal=4.0)
+    first, first_hash = _helper_pid_and_hash(inst)
+    os.kill(first, signal.SIGKILL)
+    second, second_hash = _helper_pid_and_hash(inst)
+    assert second != first
+    assert first_hash == second_hash
+    fresh = subprocess.run([sys.executable, "-c", "print(hash('abc'))"], capture_output=True,
+                           text=True, env={"PYTHONHASHSEED": "0"}, check=True)
+    assert first_hash == int(fresh.stdout)
+
+
+def test_forked_process_starts_its_own_helper(unit_square):
+    inst = dataclasses.replace(unit_square, known_optimal=4.0)
+    ours, _ = _helper_pid_and_hash(inst)
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.write(write_end, str(_helper_pid_and_hash(inst)[0]).encode())
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    os.waitpid(pid, 0)
+    with open(read_end, "rb") as f:
+        theirs = int(f.read())
+    assert theirs != ours
+    assert _helper_pid_and_hash(inst)[0] == ours
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process state from /proc")
+def test_no_helper_outlives_its_coevo_process():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    program = (
+        "from coevo.evaluator import Candidate, RunnerConfig, run_candidate\n"
+        "from coevo.instances import TspInstance\n"
+        "inst = TspInstance('t', 3, [[0, 1, 1], [1, 0, 1], [1, 1, 0]])\n"
+        f"outcome = run_candidate(Candidate(id='r', source={REPORT_HELPER!r}), inst, RunnerConfig())\n"
+        "print(outcome.diagnostic.split()[0])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+    assert _wait_gone(int(proc.stdout), 5.0)
+
+
+def test_memory_is_limited(unit_square):
+    assert MEMORY_LIMIT < 8 << 30
+    inst = dataclasses.replace(unit_square, known_optimal=4.0)
+    outcome = run_candidate(Candidate(id="hog", source="bytearray(8 << 30)\n"), inst, FAST)
+    assert outcome.failure_class == FAIL_START
+    assert "MemoryError" in outcome.diagnostic
 
 
 # --- evaluate_candidate -----------------------------------------------------------
