@@ -17,15 +17,15 @@ from pathlib import Path
 from .errors import ConfigError, CoevoError, OracleLimitError, ParseError
 from .evaluator import Candidate, RunnerConfig, evaluate_candidate
 from .instances import (
+    INSTANCE_SUFFIXES,
     SIDECAR_NAME,
     TspInstance,
     format_number,
     load_benchmark,
-    parse_bpp,
-    parse_tsplib,
+    load_instance,
 )
-from .oracles import ensure_optima, exact_bpp, held_karp
-from .orchestrator import EvolutionRun, RunConfig
+from .oracles import ensure_optima, exact_optimum
+from .orchestrator import EvolutionRun, RunConfig, resume
 from .seeds import SEEDS, seed_source
 
 EXIT_OK = 0
@@ -80,18 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_instance_file(path: Path):
-    if path.suffix == ".tsp":
-        return parse_tsplib(path.read_text(), default_name=path.stem)
-    if path.suffix == ".bpp":
-        return parse_bpp(path.read_text(), name=path.stem)
-    raise ConfigError(f"unknown instance extension {path.suffix!r} (want .tsp or .bpp)")
-
-
 def cmd_run(args) -> int:
     if args.resume:
-        from .orchestrator import resume
-
         report = resume(args.resume, out_dir=args.out)
         print(f"resumed run complete: best error {report.best_error:.2f}%")
         return EXIT_OK
@@ -148,12 +138,11 @@ def cmd_oracle(args) -> int:
     path = Path(args.instance)
     if not path.is_file():
         raise ConfigError(f"no such instance file: {path}")
-    instance = _load_instance_file(path)
+    instance = load_instance(path)
+    result = exact_optimum(instance, args.tsp_limit, args.bpp_limit, args.budget)
     if isinstance(instance, TspInstance):
-        result = held_karp(instance, limit=args.tsp_limit, time_limit=args.budget)
         witness_doc = {"tour": list(result.witness.order)}
     else:
-        result = exact_bpp(instance, limit=args.bpp_limit, time_limit=args.budget)
         witness_doc = {"bins": [list(b) for b in result.witness.bins]}
     print(f"{instance.name}: optimal value {result.optimal_value:g} "
           f"({result.expanded_states} states expanded)")
@@ -168,7 +157,7 @@ def cmd_bench(args) -> int:
     out = Path(args.out)
     if not src.is_dir():
         raise ConfigError(f"no such directory: {src}")
-    files = sorted(p for p in src.iterdir() if p.suffix in (".tsp", ".bpp"))
+    files = sorted(p for p in src.iterdir() if p.suffix in INSTANCE_SUFFIXES)
     if not files:
         raise ConfigError(f"no .tsp or .bpp files in {src}")
     out.mkdir(parents=True, exist_ok=True)
@@ -176,15 +165,12 @@ def cmd_bench(args) -> int:
     excluded: list[tuple[str, str]] = []
     for path in files:
         try:
-            instance = _load_instance_file(path)
-        except (ParseError, ConfigError) as exc:
+            instance = load_instance(path)
+        except ParseError as exc:
             excluded.append((path.name, f"parse error: {exc}"))
             continue
         try:
-            if isinstance(instance, TspInstance):
-                result = held_karp(instance, limit=args.tsp_limit, time_limit=args.budget)
-            else:
-                result = exact_bpp(instance, limit=args.bpp_limit, time_limit=args.budget)
+            result = exact_optimum(instance, args.tsp_limit, args.bpp_limit, args.budget)
         except OracleLimitError as exc:
             excluded.append((path.name, str(exc)))
             continue

@@ -8,11 +8,12 @@ smoothing so unattempted strategies start from a neutral prior.
 from __future__ import annotations
 
 import json
+from collections.abc import Container
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .codec import decode
-from .errors import DanglingReferenceError
+from .errors import ConfigError, DanglingReferenceError
 
 OUTCOME_IMPROVED = "improved"
 OUTCOME_NO_IMPROVEMENT = "no-improvement"
@@ -51,7 +52,6 @@ class ExperienceLog:
     """What a checkpoint holds of an ExperienceStore."""
 
     records: list[ExperienceRecord]
-    known: list[str]  # every registered candidate id
 
 
 def make_outcome(parent_error: float, child_error: float) -> tuple[str, float]:
@@ -61,18 +61,15 @@ def make_outcome(parent_error: float, child_error: float) -> tuple[str, float]:
 
 
 class ExperienceStore:
-    """Append-only store, optionally mirrored to a JSONL file."""
+    """Append-only store, optionally mirrored to a JSONL file; records name ids in ``known``."""
 
-    def __init__(self, path: str | Path | None = None):
+    def __init__(self, path: str | Path | None = None, known: Container[str] = ()):
         self._records: list[ExperienceRecord] = []
-        self._known: set[str] = set()
+        self._known = known
         self._path = Path(path) if path is not None else None
         if self._path is not None:
             self._path.parent.mkdir(parents=True, exist_ok=True)
             self._path.write_text("")
-
-    def register(self, candidate_id: str) -> None:
-        self._known.add(candidate_id)
 
     def record(self, rec: ExperienceRecord) -> None:
         if rec.child_id not in self._known:
@@ -87,26 +84,24 @@ class ExperienceStore:
     def __len__(self) -> int:
         return len(self._records)
 
-    def __iter__(self):
-        return iter(self._records)
-
     @property
     def records(self) -> tuple[ExperienceRecord, ...]:
         return tuple(self._records)
 
     def to_dict(self) -> dict:
-        return asdict(ExperienceLog(self._records, sorted(self._known)))
+        return asdict(ExperienceLog(self._records))
 
     @classmethod
-    def from_dict(cls, d: dict, path: str | Path | None = None) -> "ExperienceStore":
-        log = decode(ExperienceLog, d, "experience")
-        store = cls(path)
-        store._known = set(log.known)
-        store._records = log.records
-        if store._path is not None:
-            with store._path.open("w") as fh:
-                for rec in store._records:
-                    fh.write(json.dumps(asdict(rec), sort_keys=True) + "\n")
+    def from_dict(
+        cls, d: dict, path: str | Path | None = None, known: Container[str] = ()
+    ) -> "ExperienceStore":
+        """Replay checkpointed records; one naming a candidate not in ``known`` is a ConfigError."""
+        store = cls(path, known)
+        for i, rec in enumerate(decode(ExperienceLog, d, "experience").records):
+            try:
+                store.record(rec)
+            except DanglingReferenceError as exc:
+                raise ConfigError(f"experience/records/{i}: {exc}") from None
         return store
 
 
@@ -192,7 +187,7 @@ def strategy_stats(store: ExperienceStore) -> dict[str, float]:
     """
     sums: dict[str, float] = {}
     counts: dict[str, int] = {}
-    for r in store:
+    for r in store.records:
         counts[r.strategy_used] = counts.get(r.strategy_used, 0) + 1
         sums[r.strategy_used] = sums.get(r.strategy_used, 0.0) + (r.delta or 0.0)
     return {

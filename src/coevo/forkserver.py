@@ -110,6 +110,11 @@ def become_candidate(cwd: str, fds: list[int], memory_limit: int) -> None:
     vars(main).update(__file__=path, __cached__=None, __annotations__={}, __builtins__=builtins)
     sys.modules["__main__"] = main
     sys.argv = [path]
+    # as much recursion depth as at the bottom of a fresh interpreter: 1 for exec, 1 per frame
+    depth, frame = 1, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    sys.setrecursionlimit(sys.getrecursionlimit() + depth)
     try:
         exec(code, vars(main))
         status = 0

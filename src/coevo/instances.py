@@ -18,6 +18,7 @@ from .errors import ParseError
 Matrix = list[list[float]]
 
 SIDECAR_NAME = "optima.txt"
+INSTANCE_SUFFIXES = (".tsp", ".bpp")
 
 
 @dataclass
@@ -319,6 +320,15 @@ def parse_sidecar(text: str, source: str = SIDECAR_NAME) -> dict[str, float]:
     return optima
 
 
+def load_instance(path: Path) -> Instance:
+    """Parse one instance file by its suffix: ``.tsp`` as TSPLIB, ``.bpp`` as bin packing."""
+    if path.suffix == ".tsp":
+        return parse_tsplib(path.read_text(), default_name=path.stem)
+    if path.suffix == ".bpp":
+        return parse_bpp(path.read_text(), name=path.stem)
+    raise ParseError(f"unknown instance extension {path.suffix!r} (want .tsp or .bpp)")
+
+
 def load_benchmark(directory: str | Path) -> InstanceSet:
     """Load every instance file in a directory, attaching sidecar optima.
 
@@ -328,12 +338,8 @@ def load_benchmark(directory: str | Path) -> InstanceSet:
     root = Path(directory)
     if not root.is_dir():
         raise ParseError(f"not a directory: {root}")
-    instances: list[Instance] = []
-    for path in sorted(root.iterdir()):
-        if path.suffix == ".tsp":
-            instances.append(parse_tsplib(path.read_text(), default_name=path.stem))
-        elif path.suffix == ".bpp":
-            instances.append(parse_bpp(path.read_text(), name=path.stem))
+    paths = sorted(p for p in root.iterdir() if p.suffix in INSTANCE_SUFFIXES)
+    instances = [load_instance(path) for path in paths]
     if not instances:
         raise ParseError(f"no .tsp or .bpp instance files in {root}")
     kinds = {type(inst) for inst in instances}

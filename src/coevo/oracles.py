@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import OracleLimitError
 from .heuristics import Packing, Tour, capacity_slack, fit_packing
-from .instances import BppInstance, InstanceSet, TspInstance
+from .instances import BppInstance, Instance, InstanceSet, TspInstance
 
 HELD_KARP_LIMIT = 18
 BRUTE_FORCE_LIMIT = 9
@@ -244,6 +244,15 @@ def exact_bpp(
     return OracleResult(value, witness, expanded)
 
 
+def exact_optimum(
+    instance: Instance, tsp_limit: int, bpp_limit: int, time_limit: float | None
+) -> OracleResult:
+    """The instance's exact oracle: held_karp for TSP, exact_bpp for bin packing."""
+    if isinstance(instance, TspInstance):
+        return held_karp(instance, limit=tsp_limit, time_limit=time_limit)
+    return exact_bpp(instance, limit=bpp_limit, time_limit=time_limit)
+
+
 def ensure_optima(
     instance_set: InstanceSet,
     tsp_limit: int = HELD_KARP_LIMIT,
@@ -254,10 +263,7 @@ def ensure_optima(
     filled = []
     for inst in instance_set:
         if inst.known_optimal is None:
-            if isinstance(inst, TspInstance):
-                value = held_karp(inst, limit=tsp_limit, time_limit=time_limit).optimal_value
-            else:
-                value = int(exact_bpp(inst, limit=bpp_limit, time_limit=time_limit).optimal_value)
-            inst = replace(inst, known_optimal=value)
+            result = exact_optimum(inst, tsp_limit, bpp_limit, time_limit)
+            inst = replace(inst, known_optimal=result.optimal_value)
         filled.append(inst)
     return InstanceSet(filled, kind=instance_set.kind, source=instance_set.source)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import time
 import typing
 from contextlib import contextmanager
@@ -44,7 +45,7 @@ from .promptevo import (
 )
 from .seeds import SEEDS, seed_source
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 REPORT_VERSION = 1
 # EvolutionRun attributes a checkpoint holds besides the state, prompts,
 # experience, reports and llm cursors it rebuilds, with their JSON types.
@@ -263,7 +264,7 @@ class EvolutionRun:
         self.state = EvolutionState.fresh(config.islands, config.rng_seed)
         self.reports: dict[str, EvalReport] = {}
         exp_path = self.out / "experience.jsonl" if self.out else None
-        self.experience = ExperienceStore(exp_path)
+        self.experience = ExperienceStore(exp_path, self.state.candidates)
         n_prompts = config.islands if config.per_island_prompts else 1
         self.prompts = [PromptState.initial(config.problem) for _ in range(n_prompts)]
         self.base_errors: dict[str, float] = {}
@@ -311,6 +312,15 @@ class EvolutionRun:
 
     # -- loop phases -----------------------------------------------------
 
+    def _admit(self, candidate: Candidate, report: EvalReport) -> None:
+        """Register an evaluated candidate with its report; archive it if it scored."""
+        self.state.register(candidate)
+        self.reports[candidate.id] = report
+        if report.mean_relative_error is not None:
+            candidate.descriptor = descriptor(candidate, report)
+            self.state.islands[candidate.island].insert(candidate, candidate.generation)
+            self.state.update_best(candidate)
+
     def init_population(self) -> EvolutionState:
         """Evaluate the configured seeds and plant them on every island."""
         if self.initialized:
@@ -337,12 +347,7 @@ class EvolutionRun:
                     strategy_used="seed",
                     performance=-probe_report.mean_relative_error,
                 )
-                cand.descriptor = descriptor(cand, probe_report)
-                self.state.register(cand)
-                self.experience.register(cand.id)
-                self.reports[cand.id] = dataclasses.replace(probe_report, candidate_id=cand.id)
-                island.insert(cand, generation=0)
-                self.state.update_best(cand)
+                self._admit(cand, dataclasses.replace(probe_report, candidate_id=cand.id))
         self.initialized = True
         self._write_checkpoint()
         return self.state
@@ -397,54 +402,33 @@ class EvolutionRun:
             generation=generation,
             strategy_used=strategy_name,
         )
-        self.state.register(child)
-        self.experience.register(child.id)
         self.strategy_usage[strategy_name] = self.strategy_usage.get(strategy_name, 0) + 1
-
         report = evaluate_candidate(child, self.instances, self.runner_cfg)
-        self.reports[child.id] = report
+        self._admit(child, report)
 
-        if report.mean_relative_error is not None:
-            parent_error = (
-                -parent.performance
-                if parent.performance is not None
-                else report.mean_relative_error
-            )
-            outcome, delta = make_outcome(parent_error, report.mean_relative_error)
-            rec = ExperienceRecord(
-                generation=generation,
-                island=island_idx,
-                parent_id=parent.id,
-                child_id=child.id,
-                strategy_used=strategy_name,
-                prompt_version=pstate.current_id,
-                outcome=outcome,
-                delta=delta,
-                child_error=report.mean_relative_error,
-            )
-            self.experience.record(rec)
-            pstate.attribute(pstate.current_id, outcome)
-            child.descriptor = descriptor(child, report)
-            island.insert(child, generation)
-            self.state.update_best(child)
-            return True
-
-        rec = ExperienceRecord(
+        error = report.mean_relative_error
+        if error is None:
+            outcome, delta = OUTCOME_FAILURE, None
+            if self.config.repair_failed_offspring:
+                self.pending_repair[island_idx] = child.id
+        else:
+            parent_error = error if parent.performance is None else -parent.performance
+            outcome, delta = make_outcome(parent_error, error)
+        self.experience.record(ExperienceRecord(
             generation=generation,
             island=island_idx,
             parent_id=parent.id,
             child_id=child.id,
             strategy_used=strategy_name,
             prompt_version=pstate.current_id,
-            outcome=OUTCOME_FAILURE,
+            outcome=outcome,
+            delta=delta,
+            child_error=error,
             failure_class=report.failure_class,
             diagnostic=report.diagnostic,
-        )
-        self.experience.record(rec)
-        pstate.attribute(pstate.current_id, OUTCOME_FAILURE)
-        if self.config.repair_failed_offspring:
-            self.pending_repair[island_idx] = child.id
-        return False
+        ))
+        pstate.attribute(pstate.current_id, outcome)
+        return error is not None
 
     def step(self) -> EvolutionState:
         """Run exactly one generation across the islands."""
@@ -525,7 +509,7 @@ class EvolutionRun:
         report.wall_time_s = time.monotonic() - started
         if self.out is not None:
             write_report(report, self.out / "report.json")
-            (self.out / "best_candidate.py").write_text(report.best_source)
+            write_atomic(self.out / "best_candidate.py", report.best_source)
         return report
 
     def build_report(self) -> RunReport:
@@ -591,7 +575,7 @@ class EvolutionRun:
         if self.out is None:
             return
         path = self.out / "checkpoints" / f"gen-{self.state.generation:04d}.json"
-        path.write_text(json.dumps(self.checkpoint_dict(), sort_keys=True))
+        write_atomic(path, json.dumps(self.checkpoint_dict(), sort_keys=True))
 
     @classmethod
     def from_checkpoint(
@@ -623,8 +607,8 @@ class EvolutionRun:
                 if not all(0 <= v < len(pstate.versions) for v in named):
                     raise ConfigError(f"prompts/{i} names a version it does not hold")
             run.state, run.prompts = state, prompts
-            exp_path = run.out / "experience.jsonl" if run.out else None
-            run.experience = ExperienceStore.from_dict(doc["experience"], exp_path)
+            jsonl = run.out / "experience.jsonl" if run.out else None
+            run.experience = ExperienceStore.from_dict(doc["experience"], jsonl, state.candidates)
             run.reports = decode(dict[str, EvalReport], doc["reports"], "reports")
             if isinstance(run.backend, MockBackend):
                 run.backend.load_state_dict(decode(dict[str, int], doc["llm_state"], "llm_state"))
@@ -654,4 +638,18 @@ def resume(checkpoint: str | Path, out_dir: str | Path | None = None,
 
 
 def write_report(report: RunReport, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(report.to_dict(), sort_keys=True, indent=1) + "\n")
+    write_atomic(Path(path), json.dumps(report.to_dict(), sort_keys=True, indent=1) + "\n")
+
+
+def write_atomic(path: Path, text: str) -> None:
+    """Replace ``path`` with ``text`` through a synced file beside it; a crash leaves old or new."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with tmp.open("w") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

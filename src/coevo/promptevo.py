@@ -8,6 +8,7 @@ sampled by softmax over experience-smoothed improvement means.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import re
@@ -109,6 +110,7 @@ def sample_strategy(
     return _POOL[-1]
 
 
+@functools.cache
 def _load_template(name: str) -> str:
     return resources.files("coevo.templates").joinpath(f"{name}.txt").read_text()
 

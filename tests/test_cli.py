@@ -313,6 +313,12 @@ def test_cmd_run_resume_malformed_checkpoint_exit_1(tmp_path, capsys):
             lambda d: d["experience"]["records"][0].update(child_error="x")
         ),
         "unknown-id": edited(lambda d: d["state"].update(best_id="c999999")),
+        "dangling-child": edited(
+            lambda d: d["experience"]["records"][0].update(child_id="c999999")
+        ),
+        "dangling-parent": edited(
+            lambda d: d["experience"]["records"][0].update(parent_id="c999999")
+        ),
         "log-mismatch": edited(lambda d: d["state"]["logs"][0][0].update(outcome="rejected")),
         "missing-report": edited(lambda d: d["reports"].pop("c000000")),
         "no-prompts": edited(lambda d: d.update(prompts=[])),

@@ -364,6 +364,29 @@ def test_memory_is_limited(unit_square):
     assert "MemoryError" in outcome.diagnostic
 
 
+def test_recursion_depth_matches_a_cold_interpreter(unit_square, tmp_path):
+    inst = dataclasses.replace(unit_square, known_optimal=4.0)
+    source = (
+        "import sys\n"
+        "def down(n):\n"
+        "    try:\n"
+        "        return down(n + 1)\n"
+        "    except RecursionError:\n"
+        "        return n\n"
+        "sys.stderr.write(f'{down(1)}\\n')\n"
+        "sys.exit(3)\n"
+    )
+    program = tmp_path / "candidate.py"
+    program.write_text(source)
+    cold = subprocess.run([sys.executable, "-s", "-S", "-P", str(program)], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=30,
+                          env={"PATH": os.environ.get("PATH", ""), "PYTHONHASHSEED": "0"})
+    assert cold.returncode == 3
+    outcome = run_candidate(Candidate(id="deep", source=source), inst, FAST)
+    assert outcome.failure_class == FAIL_START
+    assert outcome.diagnostic == cold.stderr.strip()
+
+
 # --- evaluate_candidate -----------------------------------------------------------
 
 

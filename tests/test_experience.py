@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from coevo.errors import DanglingReferenceError
+from coevo.errors import ConfigError, DanglingReferenceError
 from coevo.experience import (
     ExperienceRecord,
     ExperienceStore,
@@ -33,11 +33,9 @@ def rec(gen=1, child="c1", parent="c0", strategy="parameter-modification",
 
 
 def store_with(*records):
-    store = ExperienceStore()
+    known = {r.parent_id for r in records if r.parent_id} | {r.child_id for r in records}
+    store = ExperienceStore(known=known)
     for r in records:
-        if r.parent_id:
-            store.register(r.parent_id)
-        store.register(r.child_id)
         store.record(r)
     return store
 
@@ -51,11 +49,11 @@ def test_append_and_read_back_in_order():
 
 
 def test_dangling_references_rejected():
-    store = ExperienceStore()
-    store.register("c0")
+    known = {"c0"}
+    store = ExperienceStore(known=known)
     with pytest.raises(DanglingReferenceError, match="ghost"):
         store.record(rec(child="ghost", parent="c0"))
-    store.register("c1")
+    known.add("c1")
     with pytest.raises(DanglingReferenceError, match="nope"):
         store.record(rec(child="c1", parent="nope"))
 
@@ -77,8 +75,7 @@ def test_make_outcome_sign_convention():
 
 def test_jsonl_mirror(tmp_path):
     path = tmp_path / "exp.jsonl"
-    store = ExperienceStore(path)
-    store.register("c1")
+    store = ExperienceStore(path, known={"c1"})
     store.record(rec(child="c1", parent=None))
     lines = path.read_text().splitlines()
     assert len(lines) == 1
@@ -88,9 +85,19 @@ def test_jsonl_mirror(tmp_path):
 def test_store_roundtrip(tmp_path):
     store = store_with(rec(child="c1"), rec(child="c2", outcome="failure",
                                             failure_class="timeout", diag="slow"))
-    again = ExperienceStore.from_dict(store.to_dict(), tmp_path / "exp.jsonl")
+    again = ExperienceStore.from_dict(store.to_dict(), tmp_path / "exp.jsonl", {"c0", "c1", "c2"})
     assert again.records == store.records
     assert (tmp_path / "exp.jsonl").read_text().count("\n") == 2
+
+
+def test_replayed_record_naming_an_unknown_candidate_is_a_config_error(tmp_path):
+    log = store_with(rec(child="c1"), rec(child="c2", parent="c1")).to_dict()
+    for known, message in [
+        ({"c0", "c1"}, "experience/records/1: unknown child candidate 'c2'"),
+        ({"c1", "c2"}, "experience/records/0: unknown parent candidate 'c0'"),
+    ]:
+        with pytest.raises(ConfigError, match=message):
+            ExperienceStore.from_dict(log, tmp_path / "exp.jsonl", known)
 
 
 def test_summarize_empty_store():

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import random
 
 import pytest
@@ -377,6 +378,25 @@ def test_failing_candidate_runs_write_identical_files(tmp_path):
     failure = runs["A"].experience.records[0]
     assert failure.failure_class == "syntax/start-failure"
     assert 'File "candidate.py", line 1' in failure.diagnostic
+
+
+def test_failed_write_keeps_the_old_run_file(tmp_path, monkeypatch):
+    script = write_mock_script(tmp_path / "s.jsonl", generate=[fenced(NN)], evolve=["m"])
+    run = EvolutionRun(config_for(tmp_path, script, iterations=1, islands=1),
+                       out_dir=tmp_path / "out")
+    run.run()
+    before = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir() if p.is_file()}
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    run.trace[-1] = 99.0  # a different report.json, were it written
+    with pytest.raises(OSError, match="replace refused"):
+        run.run()
+    after = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir() if p.is_file()}
+    assert after == before
+    assert "report.json" in after
 
 
 def test_repair_mode_retries_failed_offspring(tmp_path):
