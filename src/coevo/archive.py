@@ -20,10 +20,6 @@ ACCEPTED_NEW = "accepted-new"
 REPLACED = "replaced"
 REJECTED = "rejected"
 
-EPSILON_BASE = 0.2
-EPSILON_RAISED = 0.4
-STAGNATION_WINDOW = 3
-
 # Fixed descriptor bin edges: relative error in percent, source size in KiB.
 PERFORMANCE_EDGES = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 COMPLEXITY_EDGES_KIB = (1.0, 2.0, 4.0, 8.0, 16.0)
@@ -185,12 +181,7 @@ def select_island(state: EvolutionState, rng: random.Random) -> int:
     return nonempty[rng.randrange(len(nonempty))]
 
 
-def epsilon_schedule(
-    stagnation: int,
-    base: float = EPSILON_BASE,
-    raised: float = EPSILON_RAISED,
-    window: int = STAGNATION_WINDOW,
-) -> float:
+def epsilon_schedule(stagnation: int, base: float, raised: float, window: int) -> float:
     """Exploration probability: raised after ``window`` stagnant generations."""
     return raised if stagnation >= window else base
 

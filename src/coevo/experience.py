@@ -66,10 +66,14 @@ class ExperienceStore:
     def __init__(self, path: str | Path | None = None, known: Container[str] = ()):
         self._records: list[ExperienceRecord] = []
         self._known = known
+        self.mirror_to(path)
+
+    def mirror_to(self, path: str | Path | None) -> None:
+        """Write the records held so far to ``path`` in one write, then append each new one."""
         self._path = Path(path) if path is not None else None
         if self._path is not None:
             self._path.parent.mkdir(parents=True, exist_ok=True)
-            self._path.write_text("")
+            self._path.write_text("".join(map(_jsonl, self._records)))
 
     def record(self, rec: ExperienceRecord) -> None:
         if rec.child_id not in self._known:
@@ -79,7 +83,7 @@ class ExperienceStore:
         self._records.append(rec)
         if self._path is not None:
             with self._path.open("a") as fh:
-                fh.write(json.dumps(asdict(rec), sort_keys=True) + "\n")
+                fh.write(_jsonl(rec))
 
     def __len__(self) -> int:
         return len(self._records)
@@ -95,14 +99,22 @@ class ExperienceStore:
     def from_dict(
         cls, d: dict, path: str | Path | None = None, known: Container[str] = ()
     ) -> "ExperienceStore":
-        """Replay checkpointed records; one naming a candidate not in ``known`` is a ConfigError."""
-        store = cls(path, known)
+        """Replay checkpointed records, then mirror them to ``path``.
+
+        A record naming a candidate not in ``known`` is a ConfigError, raised before any write.
+        """
+        store = cls(known=known)
         for i, rec in enumerate(decode(ExperienceLog, d, "experience").records):
             try:
                 store.record(rec)
             except DanglingReferenceError as exc:
                 raise ConfigError(f"experience/records/{i}: {exc}") from None
+        store.mirror_to(path)
         return store
+
+
+def _jsonl(rec: ExperienceRecord) -> str:
+    return json.dumps(asdict(rec), sort_keys=True) + "\n"
 
 
 @dataclass

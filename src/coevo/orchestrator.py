@@ -12,11 +12,12 @@ and every generation is checkpointed for exact resume.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import os
 import time
 import typing
-from contextlib import contextmanager
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -45,14 +46,13 @@ from .promptevo import (
 )
 from .seeds import SEEDS, seed_source
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 REPORT_VERSION = 1
 # EvolutionRun attributes a checkpoint holds besides the state, prompts,
 # experience, reports and llm cursors it rebuilds, with their JSON types.
 COUNTERS = {
-    "base_errors": dict[str, float], "trace": list[float], "strategy_usage": dict[str, int],
-    "generated": list[int], "executable": list[int], "events": list[str], "llm_calls": int,
-    "next_seq": int, "pending_repair": dict[str, str], "initialized": bool,
+    "base_errors": dict[str, float], "events": list[str], "llm_calls": int,
+    "next_seq": int, "pending_repair": dict[str, str],
 }
 
 
@@ -268,15 +268,10 @@ class EvolutionRun:
         n_prompts = config.islands if config.per_island_prompts else 1
         self.prompts = [PromptState.initial(config.problem) for _ in range(n_prompts)]
         self.base_errors: dict[str, float] = {}
-        self.trace: list[float] = []
-        self.strategy_usage: dict[str, int] = {}
-        self.generated: list[int] = []
-        self.executable: list[int] = []
         self.events: list[str] = []
         self.llm_calls = 0
         self.next_seq = 0
         self.pending_repair: dict[int, str] = {}
-        self.initialized = False
 
     # -- id and prompt helpers ------------------------------------------
 
@@ -323,7 +318,7 @@ class EvolutionRun:
 
     def init_population(self) -> EvolutionState:
         """Evaluate the configured seeds and plant them on every island."""
-        if self.initialized:
+        if self.state.candidates:
             return self.state
         probe_reports: dict[str, EvalReport] = {}
         for name in self.config.seeds:
@@ -348,15 +343,14 @@ class EvolutionRun:
                     performance=-probe_report.mean_relative_error,
                 )
                 self._admit(cand, dataclasses.replace(probe_report, candidate_id=cand.id))
-        self.initialized = True
         self._write_checkpoint()
         return self.state
 
-    def _evolve_island(self, island_idx: int, generation: int) -> bool | None:
-        """One offspring attempt; True if it scored, False if not, None if skipped."""
+    def _evolve_island(self, island_idx: int, generation: int) -> None:
+        """One offspring attempt: evaluated, admitted and recorded, or skipped with an event."""
         island = self.state.islands[island_idx]
         if not island.cells:
-            return None
+            return
         pstate = self._prompt_for(island_idx)
 
         repair_id = self.pending_repair.pop(island_idx, None)
@@ -365,11 +359,9 @@ class EvolutionRun:
             strategy_name = "repair"
             strategy = strategy_pool()[0]  # ignored by compose in failure mode
         else:
+            cfg = self.config
             epsilon = arch.epsilon_schedule(
-                self.state.stagnation,
-                base=self.config.epsilon_base,
-                raised=self.config.epsilon_raised,
-                window=self.config.stagnation_window,
+                self.state.stagnation, cfg.epsilon_base, cfg.epsilon_raised, cfg.stagnation_window
             )
             parent = arch.select_parent(
                 island, self.state.rng, epsilon, self.state.candidates
@@ -387,12 +379,12 @@ class EvolutionRun:
 
         text = self._complete(prompt, tag="generate")
         if text is None:
-            return None
+            return
         try:
             source = extract_code(text)
         except EmptyResponseError:
             self.events.append(f"gen {generation}: island {island_idx} empty completion")
-            return None
+            return
 
         child = Candidate(
             id=self._next_id(),
@@ -402,7 +394,6 @@ class EvolutionRun:
             generation=generation,
             strategy_used=strategy_name,
         )
-        self.strategy_usage[strategy_name] = self.strategy_usage.get(strategy_name, 0) + 1
         report = evaluate_candidate(child, self.instances, self.runner_cfg)
         self._admit(child, report)
 
@@ -428,11 +419,10 @@ class EvolutionRun:
             diagnostic=report.diagnostic,
         ))
         pstate.attribute(pstate.current_id, outcome)
-        return error is not None
 
     def step(self) -> EvolutionState:
         """Run exactly one generation across the islands."""
-        if not self.initialized:
+        if not self.state.candidates:
             raise ConfigError("run not initialized; call init_population first")
         generation = self.state.generation + 1
         if self.config.island_per_iteration:
@@ -441,23 +431,13 @@ class EvolutionRun:
             island_ids = [isl.island_id for isl in self.state.islands]
 
         best_before = self.state.best_so_far.performance
-        generated = 0
-        scored = 0
         for island_idx in island_ids:
-            result = self._evolve_island(island_idx, generation)
-            if result is None:
-                continue
-            generated += 1
-            if result:
-                scored += 1
+            self._evolve_island(island_idx, generation)
 
         self.state.generation = generation
         improved = self.state.best_so_far.performance > best_before
         self.state.stagnation = 0 if improved else self.state.stagnation + 1
         best_error = -self.state.best_so_far.performance
-        self.trace.append(best_error)
-        self.generated.append(generated)
-        self.executable.append(scored)
 
         evolve_now = generation % self.config.prompt_update_interval == 0
         summary = summarize(self.experience, self.config.experience_window)
@@ -512,12 +492,26 @@ class EvolutionRun:
             write_atomic(self.out / "best_candidate.py", report.best_source)
         return report
 
+    @property
+    def generated(self) -> list[int]:
+        """Offspring recorded in each generation so far, 0 where a generation has none."""
+        counts = Counter(r.generation for r in self.experience.records)
+        return [counts[g] for g in range(1, self.state.generation + 1)]
+
     def build_report(self) -> RunReport:
+        """The run's report; its counts and best-error trace come from the experience records."""
         best = self.state.best_so_far
-        rates: list[float | None] = [
-            (e / g) if g else None for g, e in zip(self.generated, self.executable)
-        ]
-        total_gen = sum(self.generated)
+        records = self.experience.records
+        generated = self.generated
+        lowest = dict.fromkeys(range(1, len(generated) + 1), min(self.base_errors.values()))
+        scored = dict.fromkeys(lowest, 0)
+        for r in records:
+            if r.child_error is not None:
+                lowest[r.generation] = min(lowest[r.generation], r.child_error)
+                scored[r.generation] += 1
+        executable = list(scored.values())
+        rates: list[float | None] = [(e / g) if g else None for g, e in zip(generated, executable)]
+        total_gen = sum(generated)
         prompt_versions = []
         for i, pstate in enumerate(self.prompts):
             for v in pstate.versions:
@@ -543,11 +537,11 @@ class EvolutionRun:
             best_id=best.id,
             best_source=best.source,
             best_error=-best.performance,
-            trace=list(self.trace),
-            strategy_usage=dict(sorted(self.strategy_usage.items())),
-            generated_per_generation=list(self.generated),
-            executable_per_generation=list(self.executable),
-            executable_rate=(sum(self.executable) / total_gen) if total_gen else None,
+            trace=list(itertools.accumulate(lowest.values(), min)),
+            strategy_usage=dict(sorted(Counter(r.strategy_used for r in records).items())),
+            generated_per_generation=generated,
+            executable_per_generation=executable,
+            executable_rate=(sum(executable) / total_gen) if total_gen else None,
             executable_rate_per_generation=rates,
             prompt_versions=prompt_versions,
             events=list(self.events),
@@ -584,51 +578,50 @@ class EvolutionRun:
         out_dir: str | Path | None = None,
         backend: Backend | None = None,
     ) -> "EvolutionRun":
-        """Rebuild a run from its checkpoint; any malformed content is a ConfigError."""
-        with _malformed_checkpoint(path):
+        """Rebuild a run from its checkpoint; bad content is a ConfigError, before any write."""
+        try:
             doc = json.loads(Path(path).read_text())
             if doc["version"] != CHECKPOINT_VERSION:
                 raise ValueError(f"unsupported version {doc['version']!r}")
             config = RunConfig.from_dict(doc["config"])
-        run = cls(config, out_dir=out_dir, backend=backend)
-        with _malformed_checkpoint(path):
             state = EvolutionState.from_dict(doc["state"])
             if len(state.islands) != config.islands:
                 raise ConfigError(
                     f"state/logs holds {len(state.islands)} islands, config has {config.islands}"
                 )
             prompts = decode(list[PromptState], doc["prompts"], "prompts")
-            if len(prompts) != len(run.prompts):
-                raise ConfigError(f"prompts holds {len(prompts)} states, expected {len(run.prompts)}")
+            n_prompts = config.islands if config.per_island_prompts else 1
+            if len(prompts) != n_prompts:
+                raise ConfigError(f"prompts holds {len(prompts)} states, expected {n_prompts}")
             for i, pstate in enumerate(prompts):
                 named = [pstate.current_id]
                 if pstate.watch is not None:
                     named += [pstate.watch.prior_id, pstate.watch.new_id]
                 if not all(0 <= v < len(pstate.versions) for v in named):
                     raise ConfigError(f"prompts/{i} names a version it does not hold")
-            run.state, run.prompts = state, prompts
-            jsonl = run.out / "experience.jsonl" if run.out else None
-            run.experience = ExperienceStore.from_dict(doc["experience"], jsonl, state.candidates)
-            run.reports = decode(dict[str, EvalReport], doc["reports"], "reports")
-            if isinstance(run.backend, MockBackend):
-                run.backend.load_state_dict(decode(dict[str, int], doc["llm_state"], "llm_state"))
-            for name, kind in COUNTERS.items():
-                setattr(run, name, decode(kind, doc["counters"][name], f"counters/{name}"))
-            run.pending_repair = {int(k): v for k, v in run.pending_repair.items()}
-            known = run.state.candidates.keys()
-            if run.reports.keys() != known or not known >= set(run.pending_repair.values()):
+            experience = ExperienceStore.from_dict(doc["experience"], known=state.candidates)
+            if not all(1 <= r.generation <= state.generation for r in experience.records):
+                raise ConfigError("experience records must name generations 1 to state/generation")
+            reports = decode(dict[str, EvalReport], doc["reports"], "reports")
+            llm_state = decode(dict[str, int], doc["llm_state"], "llm_state")
+            counters = {name: decode(kind, doc["counters"][name], f"counters/{name}")
+                        for name, kind in COUNTERS.items()}
+            counters["pending_repair"] = {int(k): v for k, v in counters["pending_repair"].items()}
+            known = state.candidates.keys()
+            if reports.keys() != known or not known >= set(counters["pending_repair"].values()):
                 raise ConfigError("reports and pending repairs must name the candidates in state")
+        except KeyError as exc:
+            raise ConfigError(f"malformed checkpoint {path}: missing key {exc}") from None
+        except (ConfigError, LookupError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed checkpoint {path}: {exc}") from None
+        run = cls(config, out_dir=out_dir, backend=backend)
+        run.state, run.prompts, run.experience, run.reports = state, prompts, experience, reports
+        experience.mirror_to(run.out / "experience.jsonl" if run.out else None)
+        if isinstance(run.backend, MockBackend):
+            run.backend.load_state_dict(llm_state)
+        for name, value in counters.items():
+            setattr(run, name, value)
         return run
-
-
-@contextmanager
-def _malformed_checkpoint(path: str | Path):
-    try:
-        yield
-    except KeyError as exc:
-        raise ConfigError(f"malformed checkpoint {path}: missing key {exc}") from None
-    except (ConfigError, LookupError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed checkpoint {path}: {exc}") from None
 
 
 def resume(checkpoint: str | Path, out_dir: str | Path | None = None,

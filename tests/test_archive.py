@@ -212,10 +212,10 @@ def test_select_parent_empty_island_errors():
 
 
 def test_epsilon_schedule():
-    assert epsilon_schedule(0) == 0.2
-    assert epsilon_schedule(2) == 0.2
-    assert epsilon_schedule(3) == 0.4
-    assert epsilon_schedule(10) == 0.4
+    assert epsilon_schedule(0, 0.2, 0.4, 3) == 0.2
+    assert epsilon_schedule(2, 0.2, 0.4, 3) == 0.2
+    assert epsilon_schedule(3, 0.2, 0.4, 3) == 0.4
+    assert epsilon_schedule(10, 0.2, 0.4, 3) == 0.4
 
 
 # --- migration --------------------------------------------------------------------

@@ -325,13 +325,18 @@ def test_cmd_run_resume_malformed_checkpoint_exit_1(tmp_path, capsys):
         "unknown-version": edited(lambda d: d["prompts"][0].update(current_id=99)),
         "missing-island-log": edited(lambda d: d["state"]["logs"].pop()),
     }
+    full = tmp_path / "full"
+    before = {p: p.read_bytes() for p in full.rglob("*") if p.is_file()}
     capsys.readouterr()
     for name, content in broken.items():
         path = tmp_path / f"{name}.json"
         path.write_text(content)
-        assert main(["run", "--resume", str(path), "--out", str(tmp_path / name)]) == 1, name
-        err = capsys.readouterr().err
-        assert err.startswith("error: malformed checkpoint") and err.count("\n") == 1, err
+        for out in (tmp_path / name, full):  # a fresh directory, then the run's own
+            assert main(["run", "--resume", str(path), "--out", str(out)]) == 1, name
+            err = capsys.readouterr().err
+            assert err.startswith("error: malformed checkpoint") and err.count("\n") == 1, err
+            after = {p: p.read_bytes() for p in full.rglob("*") if p.is_file()}
+            assert after == before, name
 
 
 def test_cmd_run_seed_flag_overrides_config(tmp_path):

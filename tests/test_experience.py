@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -98,6 +99,29 @@ def test_replayed_record_naming_an_unknown_candidate_is_a_config_error(tmp_path)
     ]:
         with pytest.raises(ConfigError, match=message):
             ExperienceStore.from_dict(log, tmp_path / "exp.jsonl", known)
+
+
+def test_failed_replay_leaves_the_mirror_file(tmp_path):
+    path = tmp_path / "exp.jsonl"
+    path.write_text("old\n")
+    log = store_with(rec(child="c1"), rec(child="c2", parent="c1")).to_dict()
+    with pytest.raises(ConfigError, match="experience/records/1"):
+        ExperienceStore.from_dict(log, path, {"c0", "c1"})
+    assert path.read_text() == "old\n"
+
+
+def test_replay_writes_the_mirror_file_once(tmp_path, monkeypatch):
+    log = store_with(rec(child="c1"), rec(child="c2", parent="c1")).to_dict()
+    opened, real_open = [], Path.open
+
+    def counting_open(self, *args, **kwargs):
+        opened.append(self)
+        return real_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", counting_open)
+    store = ExperienceStore.from_dict(log, tmp_path / "exp.jsonl", {"c0", "c1", "c2"})
+    assert opened.count(tmp_path / "exp.jsonl") <= 1  # not one open per record
+    assert (tmp_path / "exp.jsonl").read_text().count("\n") == len(store) == 2
 
 
 def test_summarize_empty_store():

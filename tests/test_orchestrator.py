@@ -264,6 +264,25 @@ def test_executable_rate_accounting(tmp_path):
     assert report.executable_rate_per_generation == [0.5, 1.0]
 
 
+def test_generations_without_offspring_count_zero(tmp_path):
+    # the script runs out after generation 1, so generations 2 and 3 record nothing
+    run, report = run_generations(tmp_path, [fenced(NN)] * 2, islands=2, iterations=3)
+    assert report.generated_per_generation == [2, 0, 0] == run.generated
+    assert report.executable_per_generation == [2, 0, 0]
+    assert report.executable_rate_per_generation[1:] == [None, None]
+    assert len(report.trace) == 3
+    assert report.trace[1:] == [report.trace[0]] * 2 == [report.best_error] * 2
+
+
+def test_strategy_usage_counts_repairs(tmp_path):
+    generate = [BROKEN, fenced(NN), fenced(NN), fenced(NN)]
+    run, report = run_generations(
+        tmp_path, generate, islands=2, iterations=2, repair_failed_offspring=True
+    )
+    assert report.strategy_usage["repair"] == 1
+    assert sum(report.strategy_usage.values()) == len(run.experience.records) == 4
+
+
 def test_prompt_versions_grow_each_generation(tmp_path):
     run, report = run_generations(tmp_path, [fenced(NN)] * 4, islands=2, iterations=2)
     assert len(run.prompts[0].versions) == 3  # initial + one per generation
@@ -391,12 +410,39 @@ def test_failed_write_keeps_the_old_run_file(tmp_path, monkeypatch):
         raise OSError("replace refused")
 
     monkeypatch.setattr(os, "replace", refuse)
-    run.trace[-1] = 99.0  # a different report.json, were it written
+    run.events.append("edited")  # a different report.json, were it written
     with pytest.raises(OSError, match="replace refused"):
         run.run()
     after = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir() if p.is_file()}
     assert after == before
     assert "report.json" in after
+
+
+def test_checkpoint_holds_only_stored_counters(tmp_path):
+    run_generations(tmp_path, [fenced(NN)] * 2, islands=2, iterations=1)
+    path = tmp_path / "out" / "checkpoints" / "gen-0001.json"
+    doc = json.loads(path.read_text())
+    assert doc["version"] == 4
+    assert sorted(doc["counters"]) == [
+        "base_errors", "events", "llm_calls", "next_seq", "pending_repair"
+    ]
+    doc["version"] = 3
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match="unsupported version 3"):
+        EvolutionRun.from_checkpoint(path)
+
+
+def test_record_outside_the_run_generations_is_malformed(tmp_path):
+    # the report's per-generation counts and trace are indexed by record generation
+    run_generations(tmp_path, [fenced(NN)] * 2, islands=2, iterations=1)
+    path = tmp_path / "out" / "checkpoints" / "gen-0001.json"
+    for generation in (0, 2):
+        doc = json.loads(path.read_text())
+        doc["experience"]["records"][0]["generation"] = generation
+        bad = tmp_path / f"gen{generation}.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="generations 1 to state/generation"):
+            EvolutionRun.from_checkpoint(bad)
 
 
 def test_repair_mode_retries_failed_offspring(tmp_path):
