@@ -10,7 +10,8 @@ one ``name value`` record per line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Mapping
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ParseError
@@ -37,18 +38,35 @@ class TspInstance:
             raise ValueError(
                 f"instance {self.name!r}: matrix has {len(self.matrix)} rows, expected {self.n}"
             )
-        for i, row in enumerate(self.matrix):
-            if len(row) != self.n:
-                raise ValueError(f"instance {self.name!r}: row {i} has {len(row)} entries")
-            for j, v in enumerate(row):
-                if not math.isfinite(v) or v < 0:
-                    raise ValueError(f"instance {self.name!r}: bad distance at ({i},{j}): {v}")
-                if i == j and v != 0:
-                    raise ValueError(f"instance {self.name!r}: nonzero diagonal at {i}")
-                if self.matrix[j][i] != v:
-                    raise ValueError(f"instance {self.name!r}: asymmetric at ({i},{j})")
+        if not _clean_matrix(self.matrix, self.n):  # name the first defect in row-major order
+            for i, row in enumerate(self.matrix):
+                if len(row) != self.n:
+                    raise ValueError(f"instance {self.name!r}: row {i} has {len(row)} entries")
+                for j, v in enumerate(row):
+                    if not math.isfinite(v) or v < 0:
+                        raise ValueError(f"instance {self.name!r}: bad distance at ({i},{j}): {v}")
+                    if i == j and v != 0:
+                        raise ValueError(f"instance {self.name!r}: nonzero diagonal at {i}")
+                    if self.matrix[j][i] != v:
+                        raise ValueError(f"instance {self.name!r}: asymmetric at ({i},{j})")
         if self.known_optimal is not None and not self.known_optimal > 0:
             raise ValueError(f"instance {self.name!r}: known optimum must be positive")
+
+
+def _clean_matrix(matrix: Matrix, n: int) -> bool:
+    """Whether the matrix passes every entry check, tested at C speed without a copy.
+
+    True if every row has n finite, non-negative entries, a zero diagonal and
+    equals its column. Any other case, an error included, is left to
+    ``TspInstance``'s entry loop, which names the first defect.
+    """
+    try:
+        return all(len(row) == n for row in matrix) and all(
+            all(map(math.isfinite, row)) and min(row) >= 0 and row[i] == 0 and tuple(row) == col
+            for i, (row, col) in enumerate(zip(matrix, zip(*matrix)))
+        )
+    except (OverflowError, TypeError):
+        return False
 
 
 @dataclass
@@ -163,8 +181,13 @@ _HEADER_KEYS = {
 }
 
 
-def parse_tsplib(text: str, default_name: str = "unnamed") -> TspInstance:
-    """Parse the supported TSPLIB subset into a validated TspInstance."""
+def parse_tsplib(
+    text: str, default_name: str = "unnamed", optima: Mapping[str, float] | None = None
+) -> TspInstance:
+    """Parse the supported TSPLIB subset into a validated TspInstance.
+
+    ``optima`` maps instance names to known optima, as a sidecar gives them.
+    """
     lines = text.splitlines()
     header: dict[str, str] = {}
     coords: list[tuple[float, float]] = []
@@ -227,16 +250,18 @@ def parse_tsplib(text: str, default_name: str = "unnamed") -> TspInstance:
         raise ParseError(f"unsupported EDGE_WEIGHT_TYPE {ewt or '(none)'!r}")
 
     try:
-        return TspInstance(name=name, n=n, matrix=matrix)
+        return TspInstance(name=name, n=n, matrix=matrix, known_optimal=(optima or {}).get(name))
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 
 
-def parse_bpp(text: str, name: str = "unnamed") -> BppInstance:
+def parse_bpp(
+    text: str, name: str = "unnamed", optima: Mapping[str, float] | None = None
+) -> BppInstance:
     """Parse a BPPlib-style instance: n, capacity, then n item sizes.
 
     Tokens are read whitespace-insensitively so one-size-per-line files and
-    single-line fixtures both parse.
+    single-line fixtures both parse. ``optima`` is as for ``parse_tsplib``.
     """
     tokens: list[tuple[str, int]] = []
     for idx, raw in enumerate(text.splitlines(), start=1):
@@ -261,7 +286,8 @@ def parse_bpp(text: str, name: str = "unnamed") -> BppInstance:
         if s <= 0:
             raise ParseError(f"item {i} size {s} must be positive")
     try:
-        return BppInstance(name=name, n=n, sizes=sizes, capacity=capacity)
+        return BppInstance(name=name, n=n, sizes=sizes, capacity=capacity,
+                           known_optimal=(optima or {}).get(name))
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 
@@ -320,12 +346,12 @@ def parse_sidecar(text: str, source: str = SIDECAR_NAME) -> dict[str, float]:
     return optima
 
 
-def load_instance(path: Path) -> Instance:
+def load_instance(path: Path, optima: Mapping[str, float] | None = None) -> Instance:
     """Parse one instance file by its suffix: ``.tsp`` as TSPLIB, ``.bpp`` as bin packing."""
     if path.suffix == ".tsp":
-        return parse_tsplib(path.read_text(), default_name=path.stem)
+        return parse_tsplib(path.read_text(), default_name=path.stem, optima=optima)
     if path.suffix == ".bpp":
-        return parse_bpp(path.read_text(), name=path.stem)
+        return parse_bpp(path.read_text(), name=path.stem, optima=optima)
     raise ParseError(f"unknown instance extension {path.suffix!r} (want .tsp or .bpp)")
 
 
@@ -339,27 +365,24 @@ def load_benchmark(directory: str | Path) -> InstanceSet:
     if not root.is_dir():
         raise ParseError(f"not a directory: {root}")
     paths = sorted(p for p in root.iterdir() if p.suffix in INSTANCE_SUFFIXES)
-    instances = [load_instance(path) for path in paths]
-    if not instances:
+    if not paths:
         raise ParseError(f"no .tsp or .bpp instance files in {root}")
-    kinds = {type(inst) for inst in instances}
-    if len(kinds) > 1:
+    if len({p.suffix for p in paths}) > 1:
         raise ParseError(f"mixed .tsp and .bpp files in {root}")
-    kind = "tsp" if kinds == {TspInstance} else "bpp"
+    kind = paths[0].suffix[1:]
 
     sidecar = root / SIDECAR_NAME
-    if sidecar.is_file():
-        optima = parse_sidecar(sidecar.read_text(), source=str(sidecar))
-        by_name = {inst.name: i for i, inst in enumerate(instances)}
+    optima = parse_sidecar(sidecar.read_text(), source=str(sidecar)) if sidecar.is_file() else {}
+    if kind == "bpp":
         for name, value in optima.items():
-            if name not in by_name:
-                raise ParseError(f"{sidecar}: optimum for unknown instance {name!r}")
-            i = by_name[name]
-            if kind == "bpp":
-                if value != int(value):
-                    raise ParseError(f"{sidecar}: bin-packing optimum for {name!r} must be integral")
-                value = int(value)
-            instances[i] = replace(instances[i], known_optimal=value)
+            if value != int(value):
+                raise ParseError(f"{sidecar}: bin-packing optimum for {name!r} must be integral")
+        optima = {name: int(value) for name, value in optima.items()}
+    instances = [load_instance(path, optima) for path in paths]
+    names = {inst.name for inst in instances}
+    for name in optima:
+        if name not in names:
+            raise ParseError(f"{sidecar}: optimum for unknown instance {name!r}")
 
     instances.sort(key=lambda inst: inst.name)
     return InstanceSet(instances=instances, kind=kind, source=str(root))

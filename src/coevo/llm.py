@@ -102,9 +102,11 @@ class MockBackend:
         return dict(self._cursor)
 
     def load_state_dict(self, cursor: dict[str, int]) -> None:
+        """Restore cursors; ValueError, with none changed, if one lies outside the script."""
         for k, v in cursor.items():
-            if k in self._cursor:
-                self._cursor[k] = v
+            if k not in self._script or not 0 <= v <= len(self._script[k]):
+                raise ValueError(f"cursor {k!r} = {v} lies outside the mock script")
+        self._cursor.update(cursor)
 
 
 Transport = Callable[[str, bytes, dict, float], tuple[int, bytes]]

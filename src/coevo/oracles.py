@@ -8,6 +8,7 @@ budget) instead of grinding.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import time
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import OracleLimitError
 from .heuristics import Packing, Tour, capacity_slack, fit_packing
-from .instances import BppInstance, Instance, InstanceSet, TspInstance
+from .instances import BppInstance, Instance, InstanceSet, TspInstance, write_instance
 
 HELD_KARP_LIMIT = 18
 BRUTE_FORCE_LIMIT = 9
@@ -258,12 +259,25 @@ def ensure_optima(
     tsp_limit: int = HELD_KARP_LIMIT,
     bpp_limit: int = EXACT_BPP_LIMIT,
     time_limit: float | None = None,
+    solved: dict[str, float] | None = None,
 ) -> InstanceSet:
-    """Fill missing optima via the exact oracles; refuses oversized instances."""
+    """Fill missing optima via the exact oracles; refuses oversized instances.
+
+    ``solved`` maps ``instance_key`` to an optimum already found: an instance
+    found there is not solved again, and each new solve is added to it.
+    """
+    solved = {} if solved is None else solved
     filled = []
     for inst in instance_set:
         if inst.known_optimal is None:
-            result = exact_optimum(inst, tsp_limit, bpp_limit, time_limit)
-            inst = replace(inst, known_optimal=result.optimal_value)
+            key = instance_key(inst)
+            if key not in solved:
+                solved[key] = exact_optimum(inst, tsp_limit, bpp_limit, time_limit).optimal_value
+            inst = replace(inst, known_optimal=solved[key])
         filled.append(inst)
     return InstanceSet(filled, kind=instance_set.kind, source=instance_set.source)
+
+
+def instance_key(instance: Instance) -> str:
+    """sha256 of the instance's canonical text: equal for equal name and content."""
+    return hashlib.sha256(write_instance(instance).encode()).hexdigest()

@@ -14,7 +14,9 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
 import os
+import re
 import time
 import typing
 from collections import Counter
@@ -46,14 +48,16 @@ from .promptevo import (
 )
 from .seeds import SEEDS, seed_source
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 REPORT_VERSION = 1
 # EvolutionRun attributes a checkpoint holds besides the state, prompts,
 # experience, reports and llm cursors it rebuilds, with their JSON types.
+# "optima" maps oracles.instance_key to the optimum the run's oracle found.
 COUNTERS = {
     "base_errors": dict[str, float], "events": list[str], "llm_calls": int,
-    "next_seq": int, "pending_repair": dict[str, str],
+    "next_seq": int, "optima": dict[str, float], "pending_repair": dict[str, str],
 }
+_SHA256_HEX = re.compile(r"[0-9a-f]{64}")
 
 
 @dataclass
@@ -239,7 +243,9 @@ class EvolutionRun:
         out_dir: str | Path | None = None,
         backend: Backend | None = None,
         instance_set: InstanceSet | None = None,
+        optima: dict[str, float] | None = None,
     ):
+        """``optima`` maps ``oracles.instance_key`` to solved optima; the run adds its own."""
         config.validate()
         self.config = config
         self.out = Path(out_dir) if out_dir is not None else None
@@ -252,8 +258,10 @@ class EvolutionRun:
             raise ConfigError(
                 f"instance set is {self.instances.kind}, config says {config.problem}"
             )
+        self.optima = {} if optima is None else optima
         self.instances = ensure_optima(
-            self.instances, tsp_limit=config.oracle_tsp_limit, bpp_limit=config.oracle_bpp_limit
+            self.instances, tsp_limit=config.oracle_tsp_limit,
+            bpp_limit=config.oracle_bpp_limit, solved=self.optima,
         )
         self.backend = backend if backend is not None else build_backend(config)
         self.runner_cfg = RunnerConfig(
@@ -610,15 +618,24 @@ class EvolutionRun:
             known = state.candidates.keys()
             if reports.keys() != known or not known >= set(counters["pending_repair"].values()):
                 raise ConfigError("reports and pending repairs must name the candidates in state")
+            for key, value in counters["optima"].items():
+                if not _SHA256_HEX.fullmatch(key):
+                    raise ConfigError(f"counters/optima key {key!r} is not a sha256 hex digest")
+                if not 0 < value < math.inf or (config.problem == "bpp" and value != int(value)):
+                    raise ConfigError(f"counters/optima/{key} = {value} cannot be an optimum")
         except KeyError as exc:
             raise ConfigError(f"malformed checkpoint {path}: missing key {exc}") from None
         except (ConfigError, LookupError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed checkpoint {path}: {exc}") from None
-        run = cls(config, out_dir=out_dir, backend=backend)
+        backend = backend if backend is not None else build_backend(config)
+        if isinstance(backend, MockBackend):
+            try:
+                backend.load_state_dict(llm_state)
+            except ValueError as exc:
+                raise ConfigError(f"malformed checkpoint {path}: llm_state: {exc}") from None
+        run = cls(config, out_dir=out_dir, backend=backend, optima=counters.pop("optima"))
         run.state, run.prompts, run.experience, run.reports = state, prompts, experience, reports
         experience.mirror_to(run.out / "experience.jsonl" if run.out else None)
-        if isinstance(run.backend, MockBackend):
-            run.backend.load_state_dict(llm_state)
         for name, value in counters.items():
             setattr(run, name, value)
         return run

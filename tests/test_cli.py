@@ -324,6 +324,11 @@ def test_cmd_run_resume_malformed_checkpoint_exit_1(tmp_path, capsys):
         "no-prompts": edited(lambda d: d.update(prompts=[])),
         "unknown-version": edited(lambda d: d["prompts"][0].update(current_id=99)),
         "missing-island-log": edited(lambda d: d["state"]["logs"].pop()),
+        "negative-cursor": edited(lambda d: d["llm_state"].update(generate=-1)),
+        "cursor-past-script": edited(lambda d: d["llm_state"].update(generate=3)),
+        "unknown-cursor-key": edited(lambda d: d["llm_state"].update(bogus=0)),
+        "bad-optimum-value": edited(lambda d: d["counters"]["optima"].update({"0" * 64: -4})),
+        "bad-optimum-key": edited(lambda d: d["counters"]["optima"].update({"ab12": 4})),
     }
     full = tmp_path / "full"
     before = {p: p.read_bytes() for p in full.rglob("*") if p.is_file()}

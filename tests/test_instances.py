@@ -177,6 +177,37 @@ def test_instance_invariant_violations_rejected():
         BppInstance("x", 1, [5], 4)
 
 
+@pytest.mark.parametrize("matrix, message", [
+    # NaN at (0,1) comes before the asymmetry at (1,2) in row-major order
+    ([[0, math.nan, 1], [1, 0, 2], [1, 3, 0]], "bad distance at (0,1): nan"),
+    # the nonzero diagonal at (1,1) comes before the negative entry at (1,2)
+    ([[0, 1, 1], [1, 5, -1], [1, -1, 0]], "nonzero diagonal at 1"),
+    # integers this large differ by 1 only while compared exactly, not as floats
+    ([[0, 2**53], [2**53 + 1, 0]], "asymmetric at (0,1)"),
+])
+def test_matrix_check_names_the_first_defect(matrix, message):
+    with pytest.raises(ValueError) as exc:
+        TspInstance("x", len(matrix), matrix)
+    assert str(exc.value) == f"instance 'x': {message}"
+
+
+def test_load_benchmark_checks_each_matrix_once(tmp_path, unit_square, monkeypatch):
+    write_tsp_file(tmp_path / "a.tsp", "a", unit_square.matrix)
+    write_tsp_file(tmp_path / "b.tsp", "b", [[0, 2], [2, 0]])
+    (tmp_path / "optima.txt").write_text("a 4.0\nb 4\n")
+    checked = []
+    post_init = TspInstance.__post_init__
+
+    def counted(self):
+        checked.append(self.name)
+        post_init(self)
+
+    monkeypatch.setattr(TspInstance, "__post_init__", counted)
+    loaded = load_benchmark(tmp_path)
+    assert sorted(checked) == ["a", "b"]
+    assert [inst.known_optimal for inst in loaded] == [4.0, 4]
+
+
 def test_load_benchmark_with_partial_sidecar(tmp_path, unit_square):
     write_tsp_file(tmp_path / "a.tsp", "a", unit_square.matrix)
     write_tsp_file(tmp_path / "b.tsp", "b", [[0, 2], [2, 0]])

@@ -6,7 +6,9 @@ import random
 import pytest
 
 from conftest import TRAP4, UNIT_SQUARE, write_euc2d_file, write_mock_script, write_tsp_file
+from coevo import oracles
 from coevo.errors import ConfigError
+from coevo.instances import load_benchmark
 from coevo.llm import MockBackend
 from coevo.orchestrator import EvolutionRun, RunConfig, resume
 from coevo.seeds import seed_source
@@ -341,6 +343,79 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
 
 
+def plain_bench_dir(tmp_path, trap4=TRAP4, sidecar=""):
+    """trap4 and square, with only the optima the sidecar text gives; the oracle fills the rest."""
+    inst = tmp_path / "plain"
+    inst.mkdir(exist_ok=True)
+    write_tsp_file(inst / "trap4.tsp", "trap4", trap4)
+    write_euc2d_file(inst / "square.tsp", "square", UNIT_SQUARE)
+    if sidecar:
+        (inst / "optima.txt").write_text(sidecar)
+    return inst
+
+
+def run_without_sidecar(tmp_path, **kw):
+    generate = [fenced(NN)] * 8
+    script = write_mock_script(tmp_path / "s.jsonl", generate=generate, evolve=["m"] * 4)
+    cfg = config_for(tmp_path, script, iterations=4, islands=2,
+                     instances=str(plain_bench_dir(tmp_path, **kw)))
+    EvolutionRun(cfg, out_dir=tmp_path / "full").run()
+    return tmp_path / "full" / "checkpoints" / "gen-0002.json"
+
+
+def report_without_wall(path):
+    doc = json.loads(path.read_text())
+    doc.pop("wall_time_s")
+    return doc
+
+
+def test_resume_reuses_the_optima_set_up_solved(tmp_path, monkeypatch):
+    checkpoint = run_without_sidecar(tmp_path)
+    assert len(json.loads(checkpoint.read_text())["counters"]["optima"]) == 2
+
+    def refuse(*args):
+        raise AssertionError("the oracle ran on resume")
+
+    monkeypatch.setattr(oracles, "exact_optimum", refuse)
+    resume(checkpoint, out_dir=tmp_path / "resumed")
+    assert report_without_wall(tmp_path / "resumed" / "report.json") == report_without_wall(
+        tmp_path / "full" / "report.json"
+    )
+
+
+def test_resume_solves_again_only_an_edited_instance(tmp_path, monkeypatch):
+    checkpoint = run_without_sidecar(tmp_path)
+    # a longer 1-3 edge moves trap4's optimum from 6 to 13, the tour nearest-neighbor finds
+    edited = [row[:] for row in TRAP4]
+    edited[1][3] = edited[3][1] = 20
+    write_tsp_file(tmp_path / "plain" / "trap4.tsp", "trap4", edited)
+    solved = []
+    exact_optimum = oracles.exact_optimum
+
+    def counted(instance, *args):
+        solved.append(instance.name)
+        return exact_optimum(instance, *args)
+
+    monkeypatch.setattr(oracles, "exact_optimum", counted)
+    run = EvolutionRun.from_checkpoint(checkpoint, out_dir=tmp_path / "resumed")
+    run.run()
+    assert solved == ["trap4"]
+    assert {inst.name: inst.known_optimal for inst in run.instances} == {
+        "square": 4.0, "trap4": 13.0
+    }
+    errors = {r.generation: r.child_error for r in run.experience.records}
+    assert errors[2] == pytest.approx(58.3333333, abs=1e-5)  # scored before the edit
+    assert errors[3] == errors[4] == 0.0
+
+
+def test_sidecar_optimum_leaves_no_stored_optimum(tmp_path):
+    checkpoint = run_without_sidecar(tmp_path, sidecar="trap4 6\n")
+    square = next(i for i in load_benchmark(tmp_path / "plain") if i.name == "square")
+    assert json.loads(checkpoint.read_text())["counters"]["optima"] == {
+        oracles.instance_key(square): 4.0
+    }
+
+
 def checkpoint_leaves(node, path=()):
     """Paths to every scalar and every empty container in a JSON document."""
     if isinstance(node, (dict, list)) and node:
@@ -422,13 +497,13 @@ def test_checkpoint_holds_only_stored_counters(tmp_path):
     run_generations(tmp_path, [fenced(NN)] * 2, islands=2, iterations=1)
     path = tmp_path / "out" / "checkpoints" / "gen-0001.json"
     doc = json.loads(path.read_text())
-    assert doc["version"] == 4
+    assert doc["version"] == 5
     assert sorted(doc["counters"]) == [
-        "base_errors", "events", "llm_calls", "next_seq", "pending_repair"
+        "base_errors", "events", "llm_calls", "next_seq", "optima", "pending_repair"
     ]
-    doc["version"] = 3
+    doc["version"] = 4
     path.write_text(json.dumps(doc))
-    with pytest.raises(ConfigError, match="unsupported version 3"):
+    with pytest.raises(ConfigError, match="unsupported version 4"):
         EvolutionRun.from_checkpoint(path)
 
 
