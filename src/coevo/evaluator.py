@@ -45,6 +45,7 @@ FAIL_SUPER_OPTIMAL = "super-optimal"
 
 DIAGNOSTIC_LIMIT = 4096
 MEMORY_LIMIT = 2 << 30  # bytes of address space a candidate may map (RLIMIT_AS)
+FILE_SIZE_LIMIT = 64 << 20  # bytes a candidate may write into one file (RLIMIT_FSIZE)
 ENV_ALLOWLIST = ("PATH",)  # the only variables a candidate inherits
 HELPER = Path(__file__).with_name("forkserver.py")  # the script every candidate is forked from
 HELPER_WAIT_S = 10.0  # longest wait for the helper to answer before it is replaced
@@ -227,7 +228,8 @@ class _Forkserver:
         with theirs:
             try:
                 self._proc = subprocess.Popen(
-                    [sys.executable, "-s", "-S", "-P", str(HELPER), str(MEMORY_LIMIT)],
+                    [sys.executable, "-s", "-S", "-P", str(HELPER), str(MEMORY_LIMIT),
+                     str(FILE_SIZE_LIMIT)],
                     stdin=theirs,
                     stdout=subprocess.DEVNULL,
                     stderr=subprocess.DEVNULL,

@@ -2,7 +2,7 @@
 
 ``coevo.evaluator`` starts one per coevo process as
 
-    python -s -S -P forkserver.py MEMORY_LIMIT
+    python -s -S -P forkserver.py MEMORY_LIMIT FILE_SIZE_LIMIT
 
 in the candidate environment, so a forked child starts from the interpreter
 state a cold ``python candidate.py`` would reach, with ``json``, ``math`` and
@@ -76,7 +76,14 @@ def reap(live: dict) -> None:
         os.close(fd)
 
 
-def become_candidate(cwd: str, fds: list[int], memory_limit: int) -> None:
+def set_limit(which: int, limit: int) -> None:
+    """Set both limits of one resource to limit, or to the hard limit if that is lower."""
+    hard = resource.getrlimit(which)[1]
+    limit = limit if hard == resource.RLIM_INFINITY else min(limit, hard)
+    resource.setrlimit(which, (limit, limit))
+
+
+def become_candidate(cwd: str, fds: list[int], memory_limit: int, file_size_limit: int) -> None:
     """Become the candidate: run cwd/candidate.py as __main__ and exit as the interpreter would."""
     os.setsid()
     signal.set_wakeup_fd(-1)
@@ -95,9 +102,8 @@ def become_candidate(cwd: str, fds: list[int], memory_limit: int) -> None:
         stream.mode = "w" if fd else "r"
         setattr(sys, name, stream)
         setattr(sys, f"__{name}__", stream)
-    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-    limit = memory_limit if hard == resource.RLIM_INFINITY else min(memory_limit, hard)
-    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    set_limit(resource.RLIMIT_AS, memory_limit)
+    set_limit(resource.RLIMIT_FSIZE, file_size_limit)  # SIGXFSZ is ignored: writes raise OSError
     path = os.path.join(cwd, "candidate.py")
     with open(path, "rb") as f:
         source = f.read()
@@ -143,7 +149,11 @@ def become_candidate(cwd: str, fds: list[int], memory_limit: int) -> None:
     os._exit(status)
 
 
-def serve(memory_limit: int) -> None:
+def serve(memory_limit: int, file_size_limit: int) -> None:
+    # A process's first compile() sets the compiler up and costs some 50 times
+    # a second one. Done once here, every forked candidate inherits it. The
+    # code object is dropped, and compiling imports nothing.
+    compile(b"pass\n", "<warm-up>", "exec")
     ctl = socket.socket(fileno=0)
     wake_r, wake_w = os.pipe()
     os.set_blocking(wake_w, False)
@@ -179,7 +189,7 @@ def serve(memory_limit: int) -> None:
         else:
             if pid == 0:
                 ctl.detach()
-                become_candidate(request.decode(), fds, memory_limit)  # does not return
+                become_candidate(request.decode(), fds, memory_limit, file_size_limit)  # no return
             for fd in fds[:3]:
                 os.close(fd)
             live[pid] = fds[3]
@@ -197,4 +207,4 @@ def serve(memory_limit: int) -> None:
 
 
 if __name__ == "__main__":
-    serve(int(sys.argv[1]))
+    serve(int(sys.argv[1]), int(sys.argv[2]))

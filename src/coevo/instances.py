@@ -213,7 +213,12 @@ def parse_tsplib(
             coords.append((_to_number(parts[1], idx), _to_number(parts[2], idx)))
             continue
         if section == "weights":
-            weights.extend(_to_number(tok, idx) for tok in line.split())
+            tokens, start = line.split(), len(weights)
+            try:
+                weights.extend(map(int, tokens))  # the common all-integer line, at C speed
+            except ValueError:
+                del weights[start:]
+                weights.extend(_to_number(tok, idx) for tok in tokens)
             continue
         if ":" in line:
             key, _, value = line.partition(":")

@@ -19,6 +19,7 @@ from coevo.evaluator import (
     FAIL_START,
     FAIL_SUPER_OPTIMAL,
     FAIL_TIMEOUT,
+    FILE_SIZE_LIMIT,
     MEMORY_LIMIT,
     Candidate,
     EvalReport,
@@ -362,6 +363,64 @@ def test_memory_is_limited(unit_square):
     outcome = run_candidate(Candidate(id="hog", source="bytearray(8 << 30)\n"), inst, FAST)
     assert outcome.failure_class == FAIL_START
     assert "MemoryError" in outcome.diagnostic
+
+
+def test_file_size_is_limited(unit_square):
+    inst = dataclasses.replace(unit_square, known_optimal=4.0)
+    assert FILE_SIZE_LIMIT % (1 << 20) == 0
+    source = (
+        "import os\n"
+        "with open('big', 'wb', buffering=0) as f:\n"
+        f"    for _ in range({FILE_SIZE_LIMIT >> 20}):\n"
+        "        f.write(bytes(1 << 20))\n"
+        f"    assert os.path.getsize('big') == {FILE_SIZE_LIMIT}\n"
+        "    f.write(b'x')\n"
+    )
+    outcome = run_candidate(Candidate(id="filler", source=source), inst, FAST)
+    assert outcome.failure_class == FAIL_START
+    assert "File too large" in outcome.diagnostic
+    assert "AssertionError" not in outcome.diagnostic
+
+
+def test_file_size_error_can_be_caught(unit_square):
+    inst = dataclasses.replace(unit_square, known_optimal=4.0)
+    source = (
+        "import errno\n"
+        "try:\n"
+        "    with open('big', 'wb', buffering=0) as f:\n"
+        f"        f.seek({FILE_SIZE_LIMIT})\n"
+        "        f.write(b'x')\n"
+        "except OSError as exc:\n"
+        "    assert exc.errno == errno.EFBIG\n"
+        "else:\n"
+        "    raise SystemExit('the write past the cap succeeded')\n"
+        "print('{\"tour\": [0, 1, 2, 3]}')\n"
+    )
+    outcome = run_candidate(Candidate(id="careful", source=source), inst, FAST)
+    assert outcome.valid, outcome.diagnostic
+
+
+def run_cold(source, tmp_path):
+    """What a fresh interpreter does with source saved as candidate.py in tmp_path."""
+    (tmp_path / "candidate.py").write_text(source)
+    return subprocess.run([sys.executable, "-s", "-S", "-P", "candidate.py"], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=30,
+                          env={"PATH": os.environ.get("PATH", ""), "PYTHONHASHSEED": "0"})
+
+
+@pytest.mark.parametrize("source, error", [
+    ("import json\n\ndef main(:\n    pass\n", "SyntaxError"),
+    ("def main():\nreturn 1\n", "IndentationError"),
+])
+def test_compile_errors_match_a_cold_interpreter(unit_square, tmp_path, source, error):
+    inst = dataclasses.replace(unit_square, known_optimal=4.0)
+    cold = run_cold(source, tmp_path)
+    assert cold.returncode == 1
+    assert error in cold.stderr
+    outcome = run_candidate(Candidate(id="broken", source=source), inst, FAST)
+    assert outcome.failure_class == FAIL_START
+    # the evaluator drops the temporary directory from the paths it reports
+    assert outcome.diagnostic == cold.stderr.replace(f"{tmp_path}{os.sep}", "").strip()
 
 
 def test_recursion_depth_matches_a_cold_interpreter(unit_square, tmp_path):

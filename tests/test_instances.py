@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -9,6 +10,7 @@ from coevo.instances import (
     BppInstance,
     InstanceSet,
     TspInstance,
+    _to_number,
     coords_to_matrix,
     load_benchmark,
     parse_bpp,
@@ -85,6 +87,38 @@ def test_parse_malformed_coord_line_reports_line_number():
         "NODE_COORD_SECTION\n1 0 0\n2 oops 1\nEOF\n"
     )
     with pytest.raises(ParseError, match="line 7"):
+        parse_tsplib(text)
+
+
+def explicit_text(rows):
+    return (
+        f"NAME : w\nTYPE : TSP\nDIMENSION : {len(rows)}\n"
+        "EDGE_WEIGHT_TYPE : EXPLICIT\nEDGE_WEIGHT_FORMAT : FULL_MATRIX\n"
+        "EDGE_WEIGHT_SECTION\n" + "".join(row + "\n" for row in rows) + "EOF\n"
+    )
+
+
+def test_weight_line_mixing_ints_and_floats_keeps_each_type():
+    # write_instance, and with it the optimum cache key, formats ints and floats apart
+    rows = ["0 1.5 2", "1.5 0 3e0", "2 3.0 0"]
+    inst = parse_tsplib(explicit_text(rows))
+    for row, parsed in zip(rows, inst.matrix):
+        expected = [_to_number(tok, 0) for tok in row.split()]
+        assert [(v, type(v)) for v in parsed] == [(v, type(v)) for v in expected]
+    assert [type(v) for v in inst.matrix[0]] == [int, float, int]
+
+
+@pytest.mark.parametrize(
+    "token, message",
+    [
+        ("x", "line 8: expected a number, got 'x'"),
+        ("1.5.2", "line 8: expected a number, got '1.5.2'"),
+        ("nan", "line 8: non-finite value 'nan'"),
+    ],
+)
+def test_bad_weight_token_names_its_line(token, message):
+    text = explicit_text(["0 1 2", f"1 0 {token}", "2 3 0"])
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
         parse_tsplib(text)
 
 
