@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 from .codec import decode
 from .errors import ConfigError
-from .evaluator import Candidate, Descriptor, EvalReport
+from .evaluator import Candidate, Descriptor
 
 ACCEPTED_NEW = "accepted-new"
 REPLACED = "replaced"
@@ -25,11 +25,11 @@ PERFORMANCE_EDGES = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 COMPLEXITY_EDGES_KIB = (1.0, 2.0, 4.0, 8.0, 16.0)
 
 
-def descriptor(candidate: Candidate, report: EvalReport) -> Descriptor:
+def descriptor(candidate: Candidate) -> Descriptor:
     """Project a scored candidate into its archive cell."""
-    if report.mean_relative_error is None:
+    if candidate.performance is None:
         raise ValueError(f"candidate {candidate.id} has no performance to map")
-    error = max(report.mean_relative_error, 0.0)
+    error = max(-candidate.performance, 0.0)
     kib = len(candidate.source.encode("utf-8")) / 1024.0
     return Descriptor(
         performance_bin=bisect_right(PERFORMANCE_EDGES, error),

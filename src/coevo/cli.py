@@ -82,6 +82,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def cmd_run(args) -> int:
     if args.resume:
+        for flag in ("seed", "backend", "mock_script"):
+            if getattr(args, flag) is not None:
+                raise ConfigError(f"--{flag.replace('_', '-')} cannot change a resumed run")
         report = resume(args.resume, out_dir=args.out)
         print(f"resumed run complete: best error {report.best_error:.2f}%")
         return EXIT_OK

@@ -27,11 +27,10 @@ import threading
 import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
-from .codec import decode
 from .errors import MissingOptimumError
 from .heuristics import Packing, Tour, tour_length_core, validate_packing, validate_tour
 from .instances import Instance, InstanceSet, TspInstance
@@ -111,13 +110,6 @@ class EvalReport:
     mean_relative_error: float | None = None
     failure_class: str | None = None
     diagnostic: str = ""
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EvalReport":
-        return decode(cls, d, "report")
 
 
 def instance_document(instance: Instance) -> str:

@@ -65,6 +65,7 @@ class ExperienceStore:
 
     def __init__(self, path: str | Path | None = None, known: Container[str] = ()):
         self._records: list[ExperienceRecord] = []
+        self._by_child: dict[str, ExperienceRecord] = {}
         self._known = known
         self.mirror_to(path)
 
@@ -81,9 +82,14 @@ class ExperienceStore:
         if rec.parent_id is not None and rec.parent_id not in self._known:
             raise DanglingReferenceError(f"unknown parent candidate {rec.parent_id!r}")
         self._records.append(rec)
+        self._by_child[rec.child_id] = rec
         if self._path is not None:
             with self._path.open("a") as fh:
                 fh.write(_jsonl(rec))
+
+    def for_child(self, child_id: str | None) -> ExperienceRecord | None:
+        """The record of the offspring ``child_id``; None for a seed or an unknown id."""
+        return self._by_child.get(child_id)
 
     def __len__(self) -> int:
         return len(self._records)
@@ -180,11 +186,10 @@ def summarize(store: ExperienceStore, window: int = 5) -> ExperienceSummary:
     if scored:
         best = min(scored, key=lambda r: (r.child_error, r.child_id))
         lineage = [best.strategy_used]
-        by_child = {r.child_id: r for r in records}
-        cursor = best
-        while cursor.parent_id is not None and cursor.parent_id in by_child:
-            cursor = by_child[cursor.parent_id]
+        cursor = store.for_child(best.parent_id)
+        while cursor is not None:
             lineage.append(cursor.strategy_used)
+            cursor = store.for_child(cursor.parent_id)
         lineage.append("seed")
         top = TopSketch(best.child_id, best.child_error, tuple(reversed(lineage)))
 

@@ -163,14 +163,18 @@ class HttpBackend:
             choice = doc["choices"][0]
             text = choice["message"]["content"]
             finish = choice.get("finish_reason", "stop")
-            usage = doc.get("usage", {})
-        except (json.JSONDecodeError, KeyError, IndexError, TypeError):
+            # usage is an object or absent (null counts as absent); a count is an int, not a bool
+            usage = {} if doc.get("usage") is None else doc["usage"]
+            tokens = [usage.get(k, 0) for k in ("prompt_tokens", "completion_tokens")]
+            if not isinstance(text, str) or any(type(t) is not int for t in tokens):
+                raise TypeError
+        except (json.JSONDecodeError, AttributeError, KeyError, IndexError, TypeError):
             raise TransportError("malformed response envelope") from None
         return CompletionResponse(
             text=text,
             finish_reason=finish,
-            prompt_tokens=usage.get("prompt_tokens", 0),
-            completion_tokens=usage.get("completion_tokens", 0),
+            prompt_tokens=tokens[0],
+            completion_tokens=tokens[1],
             latency_s=latency,
         )
 

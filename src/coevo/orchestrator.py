@@ -27,7 +27,7 @@ from . import archive as arch
 from .archive import EvolutionState, MigrationConfig, descriptor
 from .codec import EXPECTED, decode
 from .errors import ConfigError, EmptyResponseError, LlmError
-from .evaluator import Candidate, EvalReport, RunnerConfig, evaluate_candidate
+from .evaluator import Candidate, RunnerConfig, evaluate_candidate
 from .experience import (
     OUTCOME_FAILURE,
     ExperienceRecord,
@@ -48,10 +48,10 @@ from .promptevo import (
 )
 from .seeds import SEEDS, seed_source
 
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 REPORT_VERSION = 1
 # EvolutionRun attributes a checkpoint holds besides the state, prompts,
-# experience, reports and llm cursors it rebuilds, with their JSON types.
+# experience and llm cursors it rebuilds, with their JSON types.
 # "optima" maps oracles.instance_key to the optimum the run's oracle found.
 COUNTERS = {
     "base_errors": dict[str, float], "events": list[str], "llm_calls": int,
@@ -270,7 +270,6 @@ class EvolutionRun:
             workers=config.parallelism,
         )
         self.state = EvolutionState.fresh(config.islands, config.rng_seed)
-        self.reports: dict[str, EvalReport] = {}
         exp_path = self.out / "experience.jsonl" if self.out else None
         self.experience = ExperienceStore(exp_path, self.state.candidates)
         n_prompts = config.islands if config.per_island_prompts else 1
@@ -315,12 +314,11 @@ class EvolutionRun:
 
     # -- loop phases -----------------------------------------------------
 
-    def _admit(self, candidate: Candidate, report: EvalReport) -> None:
-        """Register an evaluated candidate with its report; archive it if it scored."""
+    def _admit(self, candidate: Candidate) -> None:
+        """Register an evaluated candidate; archive it if it scored."""
         self.state.register(candidate)
-        self.reports[candidate.id] = report
-        if report.mean_relative_error is not None:
-            candidate.descriptor = descriptor(candidate, report)
+        if candidate.performance is not None:
+            candidate.descriptor = descriptor(candidate)
             self.state.islands[candidate.island].insert(candidate, candidate.generation)
             self.state.update_best(candidate)
 
@@ -328,7 +326,6 @@ class EvolutionRun:
         """Evaluate the configured seeds and plant them on every island."""
         if self.state.candidates:
             return self.state
-        probe_reports: dict[str, EvalReport] = {}
         for name in self.config.seeds:
             probe = Candidate(id=f"probe-{name}", source=seed_source(name))
             report = evaluate_candidate(probe, self.instances, self.runner_cfg)
@@ -337,20 +334,17 @@ class EvolutionRun:
                     f"seed {name!r} failed evaluation ({report.failure_class}): "
                     f"{report.diagnostic}"
                 )
-            probe_reports[name] = report
             self.base_errors[name] = report.mean_relative_error
         for island in self.state.islands:
             for name in self.config.seeds:
-                probe_report = probe_reports[name]
-                cand = Candidate(
+                self._admit(Candidate(
                     id=self._next_id(),
                     source=seed_source(name),
                     island=island.island_id,
                     generation=0,
                     strategy_used="seed",
-                    performance=-probe_report.mean_relative_error,
-                )
-                self._admit(cand, dataclasses.replace(probe_report, candidate_id=cand.id))
+                    performance=-self.base_errors[name],
+                ))
         self._write_checkpoint()
         return self.state
 
@@ -362,8 +356,10 @@ class EvolutionRun:
         pstate = self._prompt_for(island_idx)
 
         repair_id = self.pending_repair.pop(island_idx, None)
+        failure = None
         if repair_id is not None and self.config.repair_failed_offspring:
             parent = self.state.candidates[repair_id]
+            failure = self.experience.for_child(repair_id)
             strategy_name = "repair"
             strategy = strategy_pool()[0]  # ignored by compose in failure mode
         else:
@@ -381,9 +377,8 @@ class EvolutionRun:
             )
             strategy_name = strategy.name
 
-        parent_report = self.reports[parent.id]
         summary = summarize(self.experience, self.config.experience_window)
-        prompt = compose_prompt(pstate, strategy, parent, parent_report, summary)
+        prompt = compose_prompt(pstate, strategy, parent, summary, failure)
 
         text = self._complete(prompt, tag="generate")
         if text is None:
@@ -403,7 +398,7 @@ class EvolutionRun:
             strategy_used=strategy_name,
         )
         report = evaluate_candidate(child, self.instances, self.runner_cfg)
-        self._admit(child, report)
+        self._admit(child)
 
         error = report.mean_relative_error
         if error is None:
@@ -568,7 +563,6 @@ class EvolutionRun:
             "state": self.state.to_dict(),
             "prompts": [p.to_dict() for p in self.prompts],
             "experience": self.experience.to_dict(),
-            "reports": {cid: r.to_dict() for cid, r in sorted(self.reports.items())},
             "llm_state": llm_state,
             "counters": counters,
         }
@@ -610,14 +604,15 @@ class EvolutionRun:
             experience = ExperienceStore.from_dict(doc["experience"], known=state.candidates)
             if not all(1 <= r.generation <= state.generation for r in experience.records):
                 raise ConfigError("experience records must name generations 1 to state/generation")
-            reports = decode(dict[str, EvalReport], doc["reports"], "reports")
             llm_state = decode(dict[str, int], doc["llm_state"], "llm_state")
             counters = {name: decode(kind, doc["counters"][name], f"counters/{name}")
                         for name, kind in COUNTERS.items()}
             counters["pending_repair"] = {int(k): v for k, v in counters["pending_repair"].items()}
-            known = state.candidates.keys()
-            if reports.keys() != known or not known >= set(counters["pending_repair"].values()):
-                raise ConfigError("reports and pending repairs must name the candidates in state")
+            for island, cid in counters["pending_repair"].items():
+                failed = experience.for_child(cid)
+                if failed is None or failed.outcome != OUTCOME_FAILURE or failed.island != island:
+                    raise ConfigError(f"counters/pending_repair/{island}: {cid!r} is no failed "
+                                      "offspring of that island")
             for key, value in counters["optima"].items():
                 if not _SHA256_HEX.fullmatch(key):
                     raise ConfigError(f"counters/optima key {key!r} is not a sha256 hex digest")
@@ -634,7 +629,7 @@ class EvolutionRun:
             except ValueError as exc:
                 raise ConfigError(f"malformed checkpoint {path}: llm_state: {exc}") from None
         run = cls(config, out_dir=out_dir, backend=backend, optima=counters.pop("optima"))
-        run.state, run.prompts, run.experience, run.reports = state, prompts, experience, reports
+        run.state, run.prompts, run.experience = state, prompts, experience
         experience.mirror_to(run.out / "experience.jsonl" if run.out else None)
         for name, value in counters.items():
             setattr(run, name, value)

@@ -17,8 +17,8 @@ from importlib import resources
 
 from .codec import decode
 from .errors import LlmError
-from .evaluator import Candidate, EvalReport
-from .experience import ExperienceSummary, render_summary
+from .evaluator import Candidate
+from .experience import ExperienceRecord, ExperienceSummary, render_summary
 from .llm import Backend, CompletionRequest, complete
 
 REVERT_PROBATION = 2  # generations a new version has to beat the baseline
@@ -225,25 +225,24 @@ def compose_prompt(
     state: PromptState,
     strategy: Strategy,
     parent: Candidate,
-    report: EvalReport,
     summary: ExperienceSummary,
+    failure: ExperienceRecord | None = None,
 ) -> str:
     """Deterministic prompt assembly from the current version.
 
-    When the parent's report is a failure, repair instructions replace the
-    strategy directive entirely; otherwise exactly one strategy directive
+    Given ``failure``, the parent's failure record, repair instructions replace
+    the strategy directive entirely; otherwise exactly one strategy directive
     is embedded. Placeholders are filled in a single pass, and any required
     section missing from an evolved version is appended so the parent
     source always reaches the model verbatim.
     """
-    failed = report.mean_relative_error is None
-    if failed:
+    if failure is not None:
         performance = "The program FAILED evaluation: no valid solution on every instance."
-        diagnostics = f"Failure class: {report.failure_class}\nError report:\n{report.diagnostic}"
+        diagnostics = f"Failure class: {failure.failure_class}\nError report:\n{failure.diagnostic}"
         directive = REPAIR_DIRECTIVE
     else:
         performance = (
-            f"Mean relative error over the instance set: {report.mean_relative_error:.4f}% "
+            f"Mean relative error over the instance set: {-parent.performance:.4f}% "
             "(lower is better; 0% matches the optimum)."
         )
         diagnostics = "No errors: the program produced valid solutions on every instance."

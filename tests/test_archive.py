@@ -19,7 +19,7 @@ from coevo.archive import (
     select_island,
     select_parent,
 )
-from coevo.evaluator import Candidate, EvalReport
+from coevo.evaluator import Candidate
 
 CHI2_CRIT_DF4_P01 = 13.2767  # upper 1% point, 4 degrees of freedom
 
@@ -34,8 +34,9 @@ def scored(cid, perf, pbin=0, cbin=0, parent=None, source="x"):
     )
 
 
-def report_with(error, cid="c"):
-    return EvalReport(candidate_id=cid, mean_relative_error=error)
+def with_error(candidate, error):
+    candidate.performance = -error
+    return candidate
 
 
 # --- descriptor ---------------------------------------------------------------
@@ -43,31 +44,31 @@ def report_with(error, cid="c"):
 
 def test_descriptor_first_bins():
     cand = Candidate(id="a", source="x" * 512)  # 0.5 KiB
-    assert descriptor(cand, report_with(0.0)) == Descriptor(0, 0)
+    assert descriptor(with_error(cand, 0.0)) == Descriptor(0, 0)
 
 
 def test_descriptor_bins_published_base_value():
     # 20.64 lands in the [16, 32) bucket
     cand = Candidate(id="a", source="x")
-    assert descriptor(cand, report_with(20.64)).performance_bin == 5
+    assert descriptor(with_error(cand, 20.64)).performance_bin == 5
 
 
 def test_descriptor_mid_bins():
     cand = Candidate(id="a", source="x" * (3 * 1024))
-    assert descriptor(cand, report_with(3.0)) == Descriptor(2, 2)
+    assert descriptor(with_error(cand, 3.0)) == Descriptor(2, 2)
 
 
 def test_descriptor_edges_are_half_open():
     cand = Candidate(id="a", source="x" * 1024)
-    assert descriptor(cand, report_with(1.0)) == Descriptor(1, 1)
-    assert descriptor(cand, report_with(32.0)).performance_bin == 6
-    assert descriptor(cand, report_with(1e9)).performance_bin == 6
+    assert descriptor(with_error(cand, 1.0)) == Descriptor(1, 1)
+    assert descriptor(with_error(cand, 32.0)).performance_bin == 6
+    assert descriptor(with_error(cand, 1e9)).performance_bin == 6
 
 
 def test_descriptor_requires_performance():
     cand = Candidate(id="a", source="x")
     with pytest.raises(ValueError, match="no performance"):
-        descriptor(cand, EvalReport(candidate_id="a"))
+        descriptor(cand)
 
 
 # --- archive update rule -------------------------------------------------------

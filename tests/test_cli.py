@@ -307,6 +307,7 @@ def test_cmd_run_resume_malformed_checkpoint_exit_1(tmp_path, capsys):
         "unknown-key": edited(lambda d: d["config"].update(bogus=1)),
         "mistyped-key": edited(lambda d: d["config"].update(iterations="twelve")),
         "wrong-version": edited(lambda d: d.update(version=99)),
+        "previous-version": edited(lambda d: d.update(version=5)),
         "missing-section": edited(lambda d: d.pop("state")),
         "wrong-typed-section": edited(lambda d: d.update(counters=[])),
         "nested-leaf": edited(
@@ -320,7 +321,12 @@ def test_cmd_run_resume_malformed_checkpoint_exit_1(tmp_path, capsys):
             lambda d: d["experience"]["records"][0].update(parent_id="c999999")
         ),
         "log-mismatch": edited(lambda d: d["state"]["logs"][0][0].update(outcome="rejected")),
-        "missing-report": edited(lambda d: d["reports"].pop("c000000")),
+        "repair-of-seed": edited(
+            lambda d: d["counters"]["pending_repair"].update({"0": "c000000"})
+        ),
+        "repair-of-scored": edited(
+            lambda d: d["counters"]["pending_repair"].update({"0": "c000002"})
+        ),
         "no-prompts": edited(lambda d: d.update(prompts=[])),
         "unknown-version": edited(lambda d: d["prompts"][0].update(current_id=99)),
         "missing-island-log": edited(lambda d: d["state"]["logs"].pop()),
@@ -342,6 +348,22 @@ def test_cmd_run_resume_malformed_checkpoint_exit_1(tmp_path, capsys):
             assert err.startswith("error: malformed checkpoint") and err.count("\n") == 1, err
             after = {p: p.read_bytes() for p in full.rglob("*") if p.is_file()}
             assert after == before, name
+
+
+def test_cmd_run_resume_refuses_run_flags(tmp_path, capsys):
+    inst = bench_dir(tmp_path)
+    responses = [fenced(seed_source("nearest-neighbor"))] * 2
+    script = write_mock_script(tmp_path / "s.jsonl", generate=responses, evolve=["m"])
+    cfg = write_config(tmp_path, inst, script, iterations=1)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "full")]) == 0
+    checkpoint = tmp_path / "full" / "checkpoints" / "gen-0000.json"
+    capsys.readouterr()
+    for flag, value in (("--seed", "3"), ("--backend", "mock"), ("--mock-script", str(script))):
+        out = tmp_path / flag.strip("-")
+        assert main(["run", "--resume", str(checkpoint), "--out", str(out), flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {flag} cannot change a resumed run\n"
+        assert not out.exists()
 
 
 def test_cmd_run_seed_flag_overrides_config(tmp_path):

@@ -22,7 +22,6 @@ from coevo.evaluator import (
     FILE_SIZE_LIMIT,
     MEMORY_LIMIT,
     Candidate,
-    EvalReport,
     RunnerConfig,
     evaluate_candidate,
     instance_document,
@@ -544,11 +543,3 @@ def test_performance_ordering_equals_error_ordering():
     ranked_perf = sorted(candidates, key=lambda c: c.performance, reverse=True)
     ranked_err = sorted(candidates, key=lambda c: -c.performance)
     assert [c.id for c in ranked_perf] == [c.id for c in ranked_err]
-
-
-def test_report_roundtrip(unit_square):
-    iset = scored_set(unit_square)
-    candidate = Candidate(id="nn", source=seed_source("nearest-neighbor"))
-    report = evaluate_candidate(candidate, iset, FAST)
-    again = EvalReport.from_dict(report.to_dict())
-    assert again.to_dict() == report.to_dict()

@@ -145,6 +145,30 @@ def test_http_backend_malformed_envelope():
         complete(backend, req(), retries=1, backoff_s=0)
 
 
+@pytest.mark.parametrize("envelope, tokens", [
+    ({"usage": None}, (0, 0)),
+    ({"choices": [{"message": {"content": [{"type": "text", "text": "resp"}]}}]}, None),
+    ({"usage": {"prompt_tokens": "7", "completion_tokens": 5}}, None),
+    ({"usage": {"prompt_tokens": 7, "completion_tokens": True}}, None),
+    ({"usage": [7, 5]}, None),
+], ids=["usage-null", "content-parts", "string-count", "bool-count", "usage-list"])
+def test_http_backend_checks_every_envelope_field(envelope, tokens):
+    # tokens None: the envelope is malformed, which complete() retries and the run logs
+    payload = {"choices": [{"message": {"content": "resp"}}], **envelope}
+
+    def transport(url, data, headers, timeout_s):
+        return 200, json.dumps(payload).encode()
+
+    backend = HttpBackend("http://example.test", transport=transport)
+    if tokens is None:
+        with pytest.raises(TransportError, match="malformed response envelope"):
+            backend.complete_once(req())
+    else:
+        response = backend.complete_once(req())
+        assert (response.text, response.prompt_tokens, response.completion_tokens) == (
+            "resp", *tokens)
+
+
 def test_http_backend_retries_server_errors():
     calls = {"n": 0}
 

@@ -8,9 +8,11 @@ import pytest
 from conftest import TRAP4, UNIT_SQUARE, write_euc2d_file, write_mock_script, write_tsp_file
 from coevo import oracles
 from coevo.errors import ConfigError
+from coevo.evaluator import FAIL_START
 from coevo.instances import load_benchmark
 from coevo.llm import MockBackend
 from coevo.orchestrator import EvolutionRun, RunConfig, resume
+from coevo.promptevo import REPAIR_DIRECTIVE
 from coevo.seeds import seed_source
 
 NN = seed_source("nearest-neighbor")
@@ -497,13 +499,13 @@ def test_checkpoint_holds_only_stored_counters(tmp_path):
     run_generations(tmp_path, [fenced(NN)] * 2, islands=2, iterations=1)
     path = tmp_path / "out" / "checkpoints" / "gen-0001.json"
     doc = json.loads(path.read_text())
-    assert doc["version"] == 5
+    assert doc["version"] == 6
     assert sorted(doc["counters"]) == [
         "base_errors", "events", "llm_calls", "next_seq", "optima", "pending_repair"
     ]
-    doc["version"] = 4
+    doc["version"] = 5
     path.write_text(json.dumps(doc))
-    with pytest.raises(ConfigError, match="unsupported version 4"):
+    with pytest.raises(ConfigError, match="unsupported version 5"):
         EvolutionRun.from_checkpoint(path)
 
 
@@ -532,6 +534,43 @@ def test_repair_mode_retries_failed_offspring(tmp_path):
         cid for cid, cand in run.state.candidates.items() if cand.source == BROKEN.strip()
     ]
     assert repairs[0].parent_id in broken_ids
+
+
+class RecordingBackend(MockBackend):
+    """A mock that keeps the text of every generate prompt it answers."""
+
+    def __init__(self, script):
+        super().__init__(script)
+        self.prompts = []
+
+    def complete_once(self, request):
+        if request.tag == "generate":
+            self.prompts.append(request.messages[0][1])
+        return super().complete_once(request)
+
+
+def test_repair_prompt_after_resume_carries_the_failure(tmp_path):
+    # island 0's generation-1 child is broken, so the generation-1 checkpoint
+    # holds its pending repair, and generation 2 opens with the repair prompt
+    generate = [BROKEN] + [fenced(NN)] * 5
+    script = write_mock_script(tmp_path / "s.jsonl", generate=generate, evolve=["m"] * 3)
+    cfg = config_for(tmp_path, script, iterations=3, islands=2, repair_failed_offspring=True)
+    full = RecordingBackend.from_file(script)
+    EvolutionRun(cfg, out_dir=tmp_path / "full", backend=full).run()
+    ckpt = tmp_path / "full" / "checkpoints" / "gen-0001.json"
+    assert json.loads(ckpt.read_text())["counters"]["pending_repair"] == {"0": "c000002"}
+
+    resumed = RecordingBackend.from_file(script)
+    run = EvolutionRun.from_checkpoint(ckpt, out_dir=tmp_path / "resumed", backend=resumed)
+    broken = run.experience.for_child("c000002")
+    run.run()
+    assert broken.failure_class == FAIL_START and broken.diagnostic
+    repair_prompt = resumed.prompts[0]
+    assert REPAIR_DIRECTIVE in repair_prompt
+    assert f"Failure class: {FAIL_START}\nError report:\n{broken.diagnostic}" in repair_prompt
+    assert resumed.prompts == full.prompts[2:]
+    assert (report_without_wall(tmp_path / "resumed" / "report.json")
+            == report_without_wall(tmp_path / "full" / "report.json"))
 
 
 FFD_NOVEL = """\

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from coevo.evaluator import Candidate, EvalReport
-from coevo.experience import ExperienceStore, summarize
+from coevo.evaluator import Candidate
+from coevo.experience import OUTCOME_FAILURE, ExperienceRecord, ExperienceStore, summarize
 from coevo.llm import MockBackend
 from coevo.promptevo import (
     REPAIR_DIRECTIVE,
@@ -22,13 +22,15 @@ def empty_summary():
     return summarize(ExperienceStore())
 
 
-def scored_report(error=5.0, cid="parent"):
-    return EvalReport(candidate_id=cid, mean_relative_error=error)
-
-
-def failed_report(cid="parent"):
-    return EvalReport(
-        candidate_id=cid,
+def failed_record():
+    return ExperienceRecord(
+        generation=1,
+        island=0,
+        parent_id="grandparent",
+        child_id="parent",
+        strategy_used="complete-rewrite",
+        prompt_version=0,
+        outcome=OUTCOME_FAILURE,
         failure_class="timeout",
         diagnostic="process terminated at timeout; stuck in loop",
     )
@@ -131,7 +133,7 @@ def test_state_roundtrip():
 def test_compose_embeds_parent_source_verbatim():
     state = PromptState.initial("tsp")
     strategy = strategy_pool()[2]
-    text = compose_prompt(state, strategy, PARENT, scored_report(), empty_summary())
+    text = compose_prompt(state, strategy, PARENT, empty_summary())
     assert PARENT.source in text
     assert text.count(strategy.directive) == 1
     assert REPAIR_DIRECTIVE not in text
@@ -140,7 +142,7 @@ def test_compose_embeds_parent_source_verbatim():
 def test_compose_failure_parent_switches_to_repair():
     state = PromptState.initial("tsp")
     strategy = strategy_pool()[4]
-    text = compose_prompt(state, strategy, PARENT, failed_report(), empty_summary())
+    text = compose_prompt(state, strategy, PARENT, empty_summary(), failed_record())
     assert "stuck in loop" in text  # diagnostic excerpt
     assert REPAIR_DIRECTIVE in text
     for s in strategy_pool():
@@ -150,8 +152,8 @@ def test_compose_failure_parent_switches_to_repair():
 def test_compose_is_deterministic():
     state = PromptState.initial("bpp")
     strategy = strategy_pool()[0]
-    a = compose_prompt(state, strategy, PARENT, scored_report(), empty_summary())
-    b = compose_prompt(state, strategy, PARENT, scored_report(), empty_summary())
+    a = compose_prompt(state, strategy, PARENT, empty_summary())
+    b = compose_prompt(state, strategy, PARENT, empty_summary())
     assert a == b
 
 
@@ -159,7 +161,7 @@ def test_compose_appends_sections_missing_from_evolved_version():
     state = PromptState.initial("tsp")
     state.adopt("Just improve the code.", generation=1)  # no placeholders at all
     strategy = strategy_pool()[1]
-    text = compose_prompt(state, strategy, PARENT, scored_report(), empty_summary())
+    text = compose_prompt(state, strategy, PARENT, empty_summary())
     assert PARENT.source in text
     assert text.count(strategy.directive) == 1
     assert text.startswith("Just improve the code.")
@@ -169,7 +171,7 @@ def test_compose_does_not_rescan_inserted_content():
     state = PromptState.initial("tsp")
     sneaky = Candidate(id="sneak", source="print('{strategy-directive}')", performance=-1.0)
     strategy = strategy_pool()[0]
-    text = compose_prompt(state, strategy, sneaky, scored_report(cid="sneak"), empty_summary())
+    text = compose_prompt(state, strategy, sneaky, empty_summary())
     assert "print('{strategy-directive}')" in text
 
 
