@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from .codec import decode
 from .errors import ConfigError
@@ -43,6 +43,7 @@ class LogEntry:
     descriptor_key: str
     outcome: str
     generation: int
+    island: int
 
 
 @dataclass
@@ -64,7 +65,7 @@ class IslandArchive:
             self.cells[cell] = candidate
         else:
             outcome = REJECTED
-        self.log.append(LogEntry(candidate.id, cell.key(), outcome, generation))
+        self.log.append(LogEntry(candidate.id, cell.key(), outcome, generation, self.island_id))
         return outcome
 
     def occupied(self) -> list[tuple[Descriptor, Candidate]]:
@@ -100,14 +101,12 @@ def replay_log(
 
 @dataclass
 class StateSnapshot:
-    """What a checkpoint holds of an EvolutionState; island cells are rebuilt from the logs."""
+    """What a checkpoint holds of an EvolutionState; candidates and logs live in journals."""
 
     generation: int
     stagnation: int
     best_id: str | None
     rng_state: tuple[int, tuple[int, ...], float | None]
-    candidates: dict[str, Candidate]
-    logs: list[list[LogEntry]]  # one insertion log per island
 
 
 @dataclass
@@ -141,17 +140,18 @@ class EvolutionState:
         return False
 
     def to_dict(self) -> dict:
-        return asdict(StateSnapshot(
+        # vars, not asdict: asdict would copy the 625 words of the RNG state one by one
+        return vars(StateSnapshot(
             generation=self.generation,
             stagnation=self.stagnation,
             best_id=self.best_so_far.id if self.best_so_far else None,
             rng_state=self.rng.getstate(),
-            candidates=dict(sorted(self.candidates.items())),
-            logs=[isl.log for isl in self.islands],
         ))
 
     @classmethod
-    def from_dict(cls, d: dict) -> "EvolutionState":
+    def from_dict(
+        cls, d: dict, candidates: dict[str, Candidate], logs: list[list[LogEntry]]
+    ) -> "EvolutionState":
         """Restore the RNG, resolve ids and replay each island's log into its cells."""
         snap = decode(StateSnapshot, d, "state")
         rng = random.Random()
@@ -159,9 +159,9 @@ class EvolutionState:
             rng.setstate(snap.rng_state)
         except (ValueError, OverflowError) as exc:
             raise ConfigError(f"state/rng_state: {exc}") from None
-        islands = [replay_log(log, snap.candidates, i) for i, log in enumerate(snap.logs)]
-        best = snap.candidates.get(snap.best_id)
-        if best is None and (snap.best_id is not None or any(snap.logs)):
+        islands = [replay_log(log, candidates, i) for i, log in enumerate(logs)]
+        best = candidates.get(snap.best_id)
+        if best is None and (snap.best_id is not None or any(logs)):
             raise ConfigError(f"state/best_id: no candidate {snap.best_id!r}")
         return cls(
             islands=islands,
@@ -169,7 +169,7 @@ class EvolutionState:
             generation=snap.generation,
             best_so_far=best,
             stagnation=snap.stagnation,
-            candidates=snap.candidates,
+            candidates=candidates,
         )
 
 

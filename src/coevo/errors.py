@@ -33,6 +33,10 @@ class TransportError(LlmError):
     """Transient transport failure; retried by the client."""
 
 
+class MalformedEnvelopeError(TransportError):
+    """A reply whose envelope lacks a field or mistypes one (not retried: it would repeat)."""
+
+
 class MockScriptError(LlmError):
     """Scripted mock backend ran out of responses (not retried)."""
 

@@ -7,17 +7,16 @@ smoothing so unattempted strategies start from a neutral prior.
 
 from __future__ import annotations
 
-import json
-from collections.abc import Container
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
+from collections.abc import Container, Iterable
+from dataclasses import dataclass, field
 
-from .codec import decode
 from .errors import ConfigError, DanglingReferenceError
 
 OUTCOME_IMPROVED = "improved"
 OUTCOME_NO_IMPROVEMENT = "no-improvement"
 OUTCOME_FAILURE = "failure"
+
+JOURNAL = "experience.jsonl"  # one record per line, in the run directory
 
 SMOOTHING_WEIGHT = 1.0
 SMOOTHING_PRIOR = 0.0
@@ -47,13 +46,6 @@ class ExperienceRecord:
             raise ValueError(f"{self.outcome} records require a delta")
 
 
-@dataclass
-class ExperienceLog:
-    """What a checkpoint holds of an ExperienceStore."""
-
-    records: list[ExperienceRecord]
-
-
 def make_outcome(parent_error: float, child_error: float) -> tuple[str, float]:
     """Classify a scored offspring against its parent; delta > 0 improves."""
     delta = parent_error - child_error
@@ -61,20 +53,12 @@ def make_outcome(parent_error: float, child_error: float) -> tuple[str, float]:
 
 
 class ExperienceStore:
-    """Append-only store, optionally mirrored to a JSONL file; records name ids in ``known``."""
+    """Append-only store of records that name ids in ``known``; the run journals it."""
 
-    def __init__(self, path: str | Path | None = None, known: Container[str] = ()):
+    def __init__(self, known: Container[str] = ()):
         self._records: list[ExperienceRecord] = []
         self._by_child: dict[str, ExperienceRecord] = {}
         self._known = known
-        self.mirror_to(path)
-
-    def mirror_to(self, path: str | Path | None) -> None:
-        """Write the records held so far to ``path`` in one write, then append each new one."""
-        self._path = Path(path) if path is not None else None
-        if self._path is not None:
-            self._path.parent.mkdir(parents=True, exist_ok=True)
-            self._path.write_text("".join(map(_jsonl, self._records)))
 
     def record(self, rec: ExperienceRecord) -> None:
         if rec.child_id not in self._known:
@@ -83,9 +67,6 @@ class ExperienceStore:
             raise DanglingReferenceError(f"unknown parent candidate {rec.parent_id!r}")
         self._records.append(rec)
         self._by_child[rec.child_id] = rec
-        if self._path is not None:
-            with self._path.open("a") as fh:
-                fh.write(_jsonl(rec))
 
     def for_child(self, child_id: str | None) -> ExperienceRecord | None:
         """The record of the offspring ``child_id``; None for a seed or an unknown id."""
@@ -98,29 +79,21 @@ class ExperienceStore:
     def records(self) -> tuple[ExperienceRecord, ...]:
         return tuple(self._records)
 
-    def to_dict(self) -> dict:
-        return asdict(ExperienceLog(self._records))
-
     @classmethod
-    def from_dict(
-        cls, d: dict, path: str | Path | None = None, known: Container[str] = ()
+    def replay(
+        cls, records: Iterable[ExperienceRecord], known: Container[str]
     ) -> "ExperienceStore":
-        """Replay checkpointed records, then mirror them to ``path``.
+        """A store of journaled records, each checked as ``record`` checks it.
 
-        A record naming a candidate not in ``known`` is a ConfigError, raised before any write.
+        A record naming a candidate not in ``known`` is a ConfigError naming its journal line.
         """
-        store = cls(known=known)
-        for i, rec in enumerate(decode(ExperienceLog, d, "experience").records):
+        store = cls(known)
+        for i, rec in enumerate(records, start=1):
             try:
                 store.record(rec)
             except DanglingReferenceError as exc:
-                raise ConfigError(f"experience/records/{i}: {exc}") from None
-        store.mirror_to(path)
+                raise ConfigError(f"{JOURNAL} line {i}: {exc}") from None
         return store
-
-
-def _jsonl(rec: ExperienceRecord) -> str:
-    return json.dumps(asdict(rec), sort_keys=True) + "\n"
 
 
 @dataclass

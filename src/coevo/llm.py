@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Protocol, Sequence
 
-from .errors import EmptyResponseError, MockScriptError, TransportError
+from .errors import EmptyResponseError, MalformedEnvelopeError, MockScriptError, TransportError
 
 
 @dataclass(frozen=True)
@@ -169,7 +169,7 @@ class HttpBackend:
             if not isinstance(text, str) or any(type(t) is not int for t in tokens):
                 raise TypeError
         except (json.JSONDecodeError, AttributeError, KeyError, IndexError, TypeError):
-            raise TransportError("malformed response envelope") from None
+            raise MalformedEnvelopeError("malformed response envelope") from None
         return CompletionResponse(
             text=text,
             finish_reason=finish,
@@ -185,13 +185,13 @@ def complete(
     retries: int = 3,
     backoff_s: float = 0.5,
 ) -> CompletionResponse:
-    """One completion round trip with bounded retries on transport errors."""
+    """One completion round trip with bounded retries on transient transport errors."""
     request.validate()
     last: Exception | None = None
     for attempt in range(retries):
         try:
             return backend.complete_once(request)
-        except MockScriptError:
+        except (MalformedEnvelopeError, MockScriptError):
             raise
         except TransportError as exc:
             last = exc

@@ -7,11 +7,20 @@ and archives it if scored. The prompt then evolves from the generation's
 experience and islands exchange elites on the migration schedule. With the
 mock backend and a fixed seed the whole run is reproducible bit for bit,
 and every generation is checkpointed for exact resume.
+
+A run directory holds each distinct candidate source once, under
+``sources/<sha256>.py``, and three append-only journals: ``candidates.jsonl``
+(one line per registered candidate, its source given by hash),
+``archive.jsonl`` (one line per archive-log entry) and ``experience.jsonl``.
+A checkpoint, ``checkpoints/gen-NNNN.json``, holds the rest of the run's
+state and, for each journal, how many of its bytes it counts and their
+sha256, so its size does not grow with the run.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -24,11 +33,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import archive as arch
-from .archive import EvolutionState, MigrationConfig, descriptor
+from .archive import EvolutionState, LogEntry, MigrationConfig, descriptor
 from .codec import EXPECTED, decode
 from .errors import ConfigError, EmptyResponseError, LlmError
 from .evaluator import Candidate, RunnerConfig, evaluate_candidate
 from .experience import (
+    JOURNAL as EXPERIENCE_JOURNAL,
     OUTCOME_FAILURE,
     ExperienceRecord,
     ExperienceStore,
@@ -48,10 +58,14 @@ from .promptevo import (
 )
 from .seeds import SEEDS, seed_source
 
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 REPORT_VERSION = 1
+CANDIDATE_JOURNAL = "candidates.jsonl"
+ARCHIVE_JOURNAL = "archive.jsonl"
+JOURNALS = (CANDIDATE_JOURNAL, ARCHIVE_JOURNAL, EXPERIENCE_JOURNAL)
+SOURCES = "sources"  # the run directory's store of sources, each named by its sha256
 # EvolutionRun attributes a checkpoint holds besides the state, prompts,
-# experience and llm cursors it rebuilds, with their JSON types.
+# journal marks and llm cursors it rebuilds, with their JSON types.
 # "optima" maps oracles.instance_key to the optimum the run's oracle found.
 COUNTERS = {
     "base_errors": dict[str, float], "events": list[str], "llm_calls": int,
@@ -270,8 +284,7 @@ class EvolutionRun:
             workers=config.parallelism,
         )
         self.state = EvolutionState.fresh(config.islands, config.rng_seed)
-        exp_path = self.out / "experience.jsonl" if self.out else None
-        self.experience = ExperienceStore(exp_path, self.state.candidates)
+        self.experience = ExperienceStore(self.state.candidates)
         n_prompts = config.islands if config.per_island_prompts else 1
         self.prompts = [PromptState.initial(config.problem) for _ in range(n_prompts)]
         self.base_errors: dict[str, float] = {}
@@ -279,6 +292,11 @@ class EvolutionRun:
         self.llm_calls = 0
         self.next_seq = 0
         self.pending_repair: dict[int, str] = {}
+        # What the out directory already holds: the journals, opened by the first
+        # checkpoint or by a resume, the sources stored, and each island's log entries.
+        self._journals: dict[str, Journal] | None = None
+        self._stored: set[str] = set()
+        self._logged = [0] * config.islands
 
     # -- id and prompt helpers ------------------------------------------
 
@@ -300,16 +318,16 @@ class EvolutionRun:
             tag=tag,
         )
 
-    def _complete(self, prompt: str, tag: str) -> str | None:
+    def _complete(self, prompt: str, tag: str, generation: int) -> str | None:
         """One guarded completion; None means the call failed or was capped."""
         if self.config.llm_call_cap is not None and self.llm_calls >= self.config.llm_call_cap:
-            self.events.append(f"gen {self.state.generation}: llm call cap reached")
+            self.events.append(f"gen {generation}: llm call cap reached")
             return None
         self.llm_calls += 1
         try:
             return complete(self.backend, self._request(prompt, tag)).text
         except LlmError as exc:
-            self.events.append(f"gen {self.state.generation}: llm failure ({exc})")
+            self.events.append(f"gen {generation}: llm failure ({exc})")
             return None
 
     # -- loop phases -----------------------------------------------------
@@ -380,7 +398,7 @@ class EvolutionRun:
         summary = summarize(self.experience, self.config.experience_window)
         prompt = compose_prompt(pstate, strategy, parent, summary, failure)
 
-        text = self._complete(prompt, tag="generate")
+        text = self._complete(prompt, "generate", generation)
         if text is None:
             return
         try:
@@ -491,6 +509,7 @@ class EvolutionRun:
         report = self.build_report()
         report.wall_time_s = time.monotonic() - started
         if self.out is not None:
+            self._append_journals()  # the last generations may fall between checkpoints
             write_report(report, self.out / "report.json")
             write_atomic(self.out / "best_candidate.py", report.best_source)
         return report
@@ -554,6 +573,7 @@ class EvolutionRun:
     # -- checkpointing ----------------------------------------------------
 
     def checkpoint_dict(self) -> dict:
+        """The checkpoint of the run as its journals hold it now."""
         llm_state = self.backend.state_dict() if isinstance(self.backend, MockBackend) else {}
         counters = {name: getattr(self, name) for name in COUNTERS}
         counters["pending_repair"] = {str(k): v for k, v in self.pending_repair.items()}
@@ -562,14 +582,42 @@ class EvolutionRun:
             "config": self.config.to_dict(),
             "state": self.state.to_dict(),
             "prompts": [p.to_dict() for p in self.prompts],
-            "experience": self.experience.to_dict(),
             "llm_state": llm_state,
             "counters": counters,
+            "journals": {name: journal.mark() for name, journal in self._journals.items()},
         }
 
+    def _store_source(self, source: str) -> str:
+        """Write ``source`` to the run's source store unless it is there; its sha256."""
+        data = source.encode("utf-8", "surrogatepass")
+        digest = hashlib.sha256(data).hexdigest()
+        if digest not in self._stored:
+            write_atomic(self.out / SOURCES / f"{digest}.py", data)
+            self._stored.add(digest)
+        return digest
+
+    def _append_journals(self) -> None:
+        """Journal what the run registered, logged and recorded since the last call; sync it."""
+        if self._journals is None:  # a fresh run
+            (self.out / SOURCES).mkdir(exist_ok=True)
+            self._journals = {name: Journal(self.out / name) for name in JOURNALS}
+        candidates, archive, experience = (self._journals[name] for name in JOURNALS)
+        new = itertools.islice(self.state.candidates.values(), candidates.lines, None)
+        candidates.append([
+            {**dataclasses.asdict(c), "source": self._store_source(c.source)} for c in new
+        ])
+        islands = self.state.islands
+        archive.append([dataclasses.asdict(e)
+                        for isl, done in zip(islands, self._logged) for e in isl.log[done:]])
+        self._logged = [len(isl.log) for isl in islands]
+        records = self.experience.records[experience.lines:]
+        experience.append([dataclasses.asdict(r) for r in records])
+
     def _write_checkpoint(self) -> None:
+        """Sync the journals first, so a checkpoint never counts bytes a crash could lose."""
         if self.out is None:
             return
+        self._append_journals()
         path = self.out / "checkpoints" / f"gen-{self.state.generation:04d}.json"
         write_atomic(path, json.dumps(self.checkpoint_dict(), sort_keys=True))
 
@@ -580,17 +628,39 @@ class EvolutionRun:
         out_dir: str | Path | None = None,
         backend: Backend | None = None,
     ) -> "EvolutionRun":
-        """Rebuild a run from its checkpoint; bad content is a ConfigError, before any write."""
+        """Rebuild a run from its checkpoint and the journals and sources beside it.
+
+        The run directory is the checkpoint's grandparent (``<run>/checkpoints/gen-NNNN.json``).
+        Everything is read and checked before any file is written: bad content, a journal
+        that differs from what the checkpoint counts, or a missing source is a ConfigError.
+        """
+        root = Path(path).parent.parent
         try:
             doc = json.loads(Path(path).read_text())
             if doc["version"] != CHECKPOINT_VERSION:
                 raise ValueError(f"unsupported version {doc['version']!r}")
             config = RunConfig.from_dict(doc["config"])
-            state = EvolutionState.from_dict(doc["state"])
-            if len(state.islands) != config.islands:
-                raise ConfigError(
-                    f"state/logs holds {len(state.islands)} islands, config has {config.islands}"
-                )
+            marks = decode(dict[str, JournalMark], doc["journals"], "journals")
+            if sorted(marks) != sorted(JOURNALS):
+                raise ConfigError(f"journals must name {', '.join(JOURNALS)}")
+            prefixes = {name: _read_journal(root / name, marks[name]) for name in JOURNALS}
+            registered = _decode_lines(Candidate, CANDIDATE_JOURNAL, prefixes[CANDIDATE_JOURNAL])
+            sources = _read_sources(root / SOURCES, [c.source for c in registered])
+            candidates: dict[str, Candidate] = {}
+            for i, candidate in enumerate(registered, start=1):
+                if candidate.id in candidates:
+                    raise ConfigError(f"{CANDIDATE_JOURNAL} line {i}: {candidate.id!r} is "
+                                      "registered twice")
+                candidate.source = sources[candidate.source]
+                candidates[candidate.id] = candidate
+            logs: list[list[LogEntry]] = [[] for _ in range(config.islands)]
+            entries = _decode_lines(LogEntry, ARCHIVE_JOURNAL, prefixes[ARCHIVE_JOURNAL])
+            for i, entry in enumerate(entries, start=1):
+                if not 0 <= entry.island < config.islands:
+                    raise ConfigError(f"{ARCHIVE_JOURNAL} line {i}: the run has no island "
+                                      f"{entry.island}")
+                logs[entry.island].append(entry)
+            state = EvolutionState.from_dict(doc["state"], candidates, logs)
             prompts = decode(list[PromptState], doc["prompts"], "prompts")
             n_prompts = config.islands if config.per_island_prompts else 1
             if len(prompts) != n_prompts:
@@ -601,7 +671,9 @@ class EvolutionRun:
                     named += [pstate.watch.prior_id, pstate.watch.new_id]
                 if not all(0 <= v < len(pstate.versions) for v in named):
                     raise ConfigError(f"prompts/{i} names a version it does not hold")
-            experience = ExperienceStore.from_dict(doc["experience"], known=state.candidates)
+            experience = ExperienceStore.replay(_decode_lines(
+                ExperienceRecord, EXPERIENCE_JOURNAL, prefixes[EXPERIENCE_JOURNAL]
+            ), state.candidates)
             if not all(1 <= r.generation <= state.generation for r in experience.records):
                 raise ConfigError("experience records must name generations 1 to state/generation")
             llm_state = decode(dict[str, int], doc["llm_state"], "llm_state")
@@ -630,10 +702,32 @@ class EvolutionRun:
                 raise ConfigError(f"malformed checkpoint {path}: llm_state: {exc}") from None
         run = cls(config, out_dir=out_dir, backend=backend, optima=counters.pop("optima"))
         run.state, run.prompts, run.experience = state, prompts, experience
-        experience.mirror_to(run.out / "experience.jsonl" if run.out else None)
         for name, value in counters.items():
             setattr(run, name, value)
+        if run.out is not None:
+            run._continue_files(root, prefixes, sources)
         return run
+
+    def _continue_files(self, root: Path, prefixes: dict[str, bytes],
+                        sources: dict[str, str]) -> None:
+        """Make out hold what the checkpoint counts, then journal onwards from there.
+
+        In the run's own directory each journal is cut back to the bytes the checkpoint
+        counts; elsewhere those bytes and the sources the candidates name are written.
+        """
+        own = self.out.resolve() == root.resolve()
+        (self.out / SOURCES).mkdir(exist_ok=True)
+        for name, data in prefixes.items():
+            if own:
+                os.truncate(self.out / name, len(data))
+            else:
+                write_atomic(self.out / name, data)
+        if not own:
+            for source in sources.values():
+                self._store_source(source)
+        self._stored.update(sources)
+        self._journals = {name: Journal(self.out / name, data) for name, data in prefixes.items()}
+        self._logged = [len(isl.log) for isl in self.state.islands]
 
 
 def resume(checkpoint: str | Path, out_dir: str | Path | None = None,
@@ -646,15 +740,101 @@ def write_report(report: RunReport, path: str | Path) -> None:
     write_atomic(Path(path), json.dumps(report.to_dict(), sort_keys=True, indent=1) + "\n")
 
 
-def write_atomic(path: Path, text: str) -> None:
+def write_atomic(path: Path, text: str | bytes) -> None:
     """Replace ``path`` with ``text`` through a synced file beside it; a crash leaves old or new."""
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        with tmp.open("w") as fh:
-            fh.write(text)
+        with tmp.open("wb") as fh:
+            fh.write(text.encode() if isinstance(text, str) else text)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+@dataclass
+class JournalMark:
+    """How much of a journal a checkpoint counts: its first ``bytes`` bytes, and their sha256."""
+
+    bytes: int
+    sha256: str
+
+
+class Journal:
+    """An append-only JSONL file, with its line count and the length and sha256 of its bytes."""
+
+    def __init__(self, path: Path, data: bytes = b""):
+        self.path = path
+        self.lines = data.count(b"\n")
+        self.size = len(data)
+        self._hash = hashlib.sha256(data)
+
+    def append(self, records: list[dict]) -> None:
+        """One sorted-key JSON line per record, synced to disk."""
+        data = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records).encode()
+        if not self.size:  # the first bytes replace any file a former run left there
+            write_atomic(self.path, data)
+        elif data:
+            with self.path.open("ab") as fh:
+                fh.write(data)
+                fh.flush()
+                os.fsync(fh.fileno())
+        self.lines += len(records)
+        self.size += len(data)
+        self._hash.update(data)
+
+    def mark(self) -> dict:
+        return dataclasses.asdict(JournalMark(self.size, self._hash.hexdigest()))
+
+
+def _read_journal(path: Path, mark: JournalMark) -> bytes:
+    """The bytes of ``path`` that ``mark`` counts; ConfigError unless they hash as it says."""
+    if mark.bytes < 0:
+        raise ConfigError(f"journals/{path.name}/bytes must be >= 0")
+    try:
+        with path.open("rb") as fh:
+            data = fh.read(mark.bytes)
+    except FileNotFoundError:
+        raise ConfigError(f"journal {path} is missing") from None
+    if len(data) < mark.bytes:
+        raise ConfigError(f"{path.name} holds {len(data)} bytes, "
+                          f"the checkpoint counts {mark.bytes}")
+    if hashlib.sha256(data).hexdigest() != mark.sha256:
+        raise ConfigError(f"{path.name}: its first {mark.bytes} bytes do not match the "
+                          "checkpoint's sha256")
+    return data
+
+
+def _decode_lines(tp, name: str, data: bytes) -> list:
+    """Each line of journal bytes, decoded as ``tp``."""
+    lines = data.decode().split("\n")
+    if lines.pop():
+        raise ConfigError(f"{name}: the checkpoint counts part of a line")
+    out = []
+    for i, line in enumerate(lines, start=1):
+        try:
+            obj = json.loads(line)
+        except ValueError as exc:
+            raise ConfigError(f"{name} line {i}: {exc}") from None
+        out.append(decode(tp, obj, f"{name} line {i}"))
+    return out
+
+
+def _read_sources(store: Path, digests: list[str]) -> dict[str, str]:
+    """Each named source from the store, checked against the sha256 it is named by."""
+    sources: dict[str, str] = {}
+    for digest in digests:
+        if digest in sources:
+            continue
+        if not _SHA256_HEX.fullmatch(digest):
+            raise ConfigError(f"{CANDIDATE_JOURNAL}: source {digest!r} is not a sha256 hex digest")
+        try:
+            data = (store / f"{digest}.py").read_bytes()
+        except FileNotFoundError:
+            raise ConfigError(f"source {store / digest}.py is missing") from None
+        if hashlib.sha256(data).hexdigest() != digest:
+            raise ConfigError(f"source {store / digest}.py does not hash to its name")
+        sources[digest] = data.decode("utf-8", "surrogatepass")
+    return sources

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -69,3 +70,24 @@ def write_mock_script(path, generate=(), evolve=(), flat=()):
         lines.append({"text": text})
     path.write_text("\n".join(json.dumps(line) for line in lines) + "\n")
     return path
+
+
+def run_files(root):
+    """Every file under a run directory, by relative path, with its bytes."""
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def edit_journal_line(run_dir, checkpoint, journal, index, edit):
+    """Apply ``edit`` to the dict on line ``index`` of a journal, within the bytes the
+    checkpoint counts, and record the new length and sha256 in that checkpoint."""
+    doc = json.loads(checkpoint.read_text())
+    mark = doc["journals"][journal]
+    data = (run_dir / journal).read_bytes()
+    lines = data[:mark["bytes"]].decode().splitlines(keepends=True)
+    record = json.loads(lines[index])
+    edit(record)
+    lines[index] = json.dumps(record, sort_keys=True) + "\n"
+    head = "".join(lines).encode()
+    (run_dir / journal).write_bytes(head + data[mark["bytes"]:])
+    mark.update(bytes=len(head), sha256=hashlib.sha256(head).hexdigest())
+    checkpoint.write_text(json.dumps(doc))

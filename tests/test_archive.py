@@ -324,7 +324,10 @@ def test_state_roundtrip_preserves_rng_stream():
     state.stagnation = 2
     state.rng.random()  # advance the stream
 
-    clone = EvolutionState.from_dict(json.loads(json.dumps(state.to_dict())))
+    # the candidates and logs come from the run's journals, the rest from the checkpoint
+    logs = [isl.log for isl in state.islands]
+    clone = EvolutionState.from_dict(json.loads(json.dumps(state.to_dict())),
+                                     state.candidates, logs)
     assert clone.generation == 4
     assert clone.stagnation == 2
     assert clone.best_so_far.id == "c0"

@@ -1,6 +1,16 @@
 import json
+import shutil
+from pathlib import Path
 
-from conftest import TRAP4, UNIT_SQUARE, write_euc2d_file, write_mock_script, write_tsp_file
+from conftest import (
+    TRAP4,
+    UNIT_SQUARE,
+    edit_journal_line,
+    run_files,
+    write_euc2d_file,
+    write_mock_script,
+    write_tsp_file,
+)
 from coevo.cli import main
 from coevo.seeds import seed_source
 
@@ -295,32 +305,39 @@ def test_cmd_run_resume_malformed_checkpoint_exit_1(tmp_path, capsys):
     script = write_mock_script(tmp_path / "s.jsonl", generate=responses, evolve=["m"])
     cfg = write_config(tmp_path, inst, script, iterations=1)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "full")]) == 0
-    text = (tmp_path / "full" / "checkpoints" / "gen-0001.json").read_text()
+    ckpt = Path("checkpoints") / "gen-0001.json"
+    text = (tmp_path / "full" / ckpt).read_text()
 
     def edited(edit):
-        doc = json.loads(text)
-        edit(doc)
-        return json.dumps(doc)
+        def apply(run):
+            doc = json.loads(text)
+            edit(doc)
+            (run / ckpt).write_text(json.dumps(doc))
+        return apply
+
+    def journal(name, index, edit):
+        return lambda run: edit_journal_line(run, run / ckpt, name, index, edit)
+
+    def rewrite(rel, change):
+        def apply(run):
+            path = sorted(run.glob(rel))[0]
+            path.write_bytes(change(path.read_bytes()))
+        return apply
 
     broken = {
-        "truncated": text[: len(text) // 2],
+        "truncated": lambda run: (run / ckpt).write_text(text[: len(text) // 2]),
         "unknown-key": edited(lambda d: d["config"].update(bogus=1)),
         "mistyped-key": edited(lambda d: d["config"].update(iterations="twelve")),
         "wrong-version": edited(lambda d: d.update(version=99)),
-        "previous-version": edited(lambda d: d.update(version=5)),
+        "previous-version": edited(lambda d: d.update(version=6)),
         "missing-section": edited(lambda d: d.pop("state")),
         "wrong-typed-section": edited(lambda d: d.update(counters=[])),
-        "nested-leaf": edited(
-            lambda d: d["experience"]["records"][0].update(child_error="x")
-        ),
+        "nested-leaf": journal("experience.jsonl", 0, lambda r: r.update(child_error="x")),
         "unknown-id": edited(lambda d: d["state"].update(best_id="c999999")),
-        "dangling-child": edited(
-            lambda d: d["experience"]["records"][0].update(child_id="c999999")
-        ),
-        "dangling-parent": edited(
-            lambda d: d["experience"]["records"][0].update(parent_id="c999999")
-        ),
-        "log-mismatch": edited(lambda d: d["state"]["logs"][0][0].update(outcome="rejected")),
+        "dangling-child": journal("experience.jsonl", 0, lambda r: r.update(child_id="c999999")),
+        "dangling-parent": journal("experience.jsonl", 0,
+                                   lambda r: r.update(parent_id="c999999")),
+        "log-mismatch": journal("archive.jsonl", 0, lambda r: r.update(outcome="rejected")),
         "repair-of-seed": edited(
             lambda d: d["counters"]["pending_repair"].update({"0": "c000000"})
         ),
@@ -329,25 +346,35 @@ def test_cmd_run_resume_malformed_checkpoint_exit_1(tmp_path, capsys):
         ),
         "no-prompts": edited(lambda d: d.update(prompts=[])),
         "unknown-version": edited(lambda d: d["prompts"][0].update(current_id=99)),
-        "missing-island-log": edited(lambda d: d["state"]["logs"].pop()),
+        "no-such-island": journal("archive.jsonl", 0, lambda r: r.update(island=2)),
         "negative-cursor": edited(lambda d: d["llm_state"].update(generate=-1)),
         "cursor-past-script": edited(lambda d: d["llm_state"].update(generate=3)),
         "unknown-cursor-key": edited(lambda d: d["llm_state"].update(bogus=0)),
         "bad-optimum-value": edited(lambda d: d["counters"]["optima"].update({"0" * 64: -4})),
         "bad-optimum-key": edited(lambda d: d["counters"]["optima"].update({"ab12": 4})),
+        "missing-journal-mark": edited(lambda d: d["journals"].pop("archive.jsonl")),
+        "source-not-a-hash": journal("candidates.jsonl", 0, lambda r: r.update(source="x")),
+        # the journals and sources no longer hold what the checkpoint counts
+        "truncated-journal": rewrite("experience.jsonl", lambda data: data[:-10]),
+        "changed-journal": rewrite(
+            "archive.jsonl", lambda data: data.replace(b'"generation": 0', b'"generation": 1', 1)
+        ),
+        "changed-source": rewrite("sources/*.py", lambda data: data + b"# edited\n"),
+        "missing-source": lambda run: sorted((run / "sources").iterdir())[0].unlink(),
+        "missing-journal": lambda run: (run / "candidates.jsonl").unlink(),
     }
-    full = tmp_path / "full"
-    before = {p: p.read_bytes() for p in full.rglob("*") if p.is_file()}
     capsys.readouterr()
-    for name, content in broken.items():
-        path = tmp_path / f"{name}.json"
-        path.write_text(content)
-        for out in (tmp_path / name, full):  # a fresh directory, then the run's own
-            assert main(["run", "--resume", str(path), "--out", str(out)]) == 1, name
+    for name, damage in broken.items():
+        run = tmp_path / f"{name}-run"
+        shutil.copytree(tmp_path / "full", run)
+        damage(run)
+        before = run_files(run)
+        for out in (tmp_path / name, run):  # a fresh directory, then the run's own
+            assert main(["run", "--resume", str(run / ckpt), "--out", str(out)]) == 1, name
             err = capsys.readouterr().err
             assert err.startswith("error: malformed checkpoint") and err.count("\n") == 1, err
-            after = {p: p.read_bytes() for p in full.rglob("*") if p.is_file()}
-            assert after == before, name
+            assert run_files(run) == before, name
+        assert not (tmp_path / name).exists(), name
 
 
 def test_cmd_run_resume_refuses_run_flags(tmp_path, capsys):

@@ -1,8 +1,9 @@
 import json
-from pathlib import Path
+from dataclasses import asdict
 
 import pytest
 
+from coevo.codec import decode
 from coevo.errors import ConfigError, DanglingReferenceError
 from coevo.experience import (
     ExperienceRecord,
@@ -74,54 +75,23 @@ def test_make_outcome_sign_convention():
     assert make_outcome(5.0, 9.0) == ("no-improvement", -4.0)
 
 
-def test_jsonl_mirror(tmp_path):
-    path = tmp_path / "exp.jsonl"
-    store = ExperienceStore(path, known={"c1"})
-    store.record(rec(child="c1", parent=None))
-    lines = path.read_text().splitlines()
-    assert len(lines) == 1
-    assert json.loads(lines[0])["child_id"] == "c1"
-
-
-def test_store_roundtrip(tmp_path):
+def test_store_roundtrip():
     store = store_with(rec(child="c1"), rec(child="c2", outcome="failure",
                                             failure_class="timeout", diag="slow"))
-    again = ExperienceStore.from_dict(store.to_dict(), tmp_path / "exp.jsonl", {"c0", "c1", "c2"})
+    lines = [json.dumps(asdict(r), sort_keys=True) for r in store.records]
+    records = [decode(ExperienceRecord, json.loads(line), "line") for line in lines]
+    again = ExperienceStore.replay(records, {"c0", "c1", "c2"})
     assert again.records == store.records
-    assert (tmp_path / "exp.jsonl").read_text().count("\n") == 2
 
 
-def test_replayed_record_naming_an_unknown_candidate_is_a_config_error(tmp_path):
-    log = store_with(rec(child="c1"), rec(child="c2", parent="c1")).to_dict()
+def test_replayed_record_naming_an_unknown_candidate_is_a_config_error():
+    records = store_with(rec(child="c1"), rec(child="c2", parent="c1")).records
     for known, message in [
-        ({"c0", "c1"}, "experience/records/1: unknown child candidate 'c2'"),
-        ({"c1", "c2"}, "experience/records/0: unknown parent candidate 'c0'"),
+        ({"c0", "c1"}, "experience.jsonl line 2: unknown child candidate 'c2'"),
+        ({"c1", "c2"}, "experience.jsonl line 1: unknown parent candidate 'c0'"),
     ]:
         with pytest.raises(ConfigError, match=message):
-            ExperienceStore.from_dict(log, tmp_path / "exp.jsonl", known)
-
-
-def test_failed_replay_leaves_the_mirror_file(tmp_path):
-    path = tmp_path / "exp.jsonl"
-    path.write_text("old\n")
-    log = store_with(rec(child="c1"), rec(child="c2", parent="c1")).to_dict()
-    with pytest.raises(ConfigError, match="experience/records/1"):
-        ExperienceStore.from_dict(log, path, {"c0", "c1"})
-    assert path.read_text() == "old\n"
-
-
-def test_replay_writes_the_mirror_file_once(tmp_path, monkeypatch):
-    log = store_with(rec(child="c1"), rec(child="c2", parent="c1")).to_dict()
-    opened, real_open = [], Path.open
-
-    def counting_open(self, *args, **kwargs):
-        opened.append(self)
-        return real_open(self, *args, **kwargs)
-
-    monkeypatch.setattr(Path, "open", counting_open)
-    store = ExperienceStore.from_dict(log, tmp_path / "exp.jsonl", {"c0", "c1", "c2"})
-    assert opened.count(tmp_path / "exp.jsonl") <= 1  # not one open per record
-    assert (tmp_path / "exp.jsonl").read_text().count("\n") == len(store) == 2
+            ExperienceStore.replay(records, known)
 
 
 def test_summarize_empty_store():

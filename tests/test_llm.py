@@ -153,7 +153,7 @@ def test_http_backend_malformed_envelope():
     ({"usage": [7, 5]}, None),
 ], ids=["usage-null", "content-parts", "string-count", "bool-count", "usage-list"])
 def test_http_backend_checks_every_envelope_field(envelope, tokens):
-    # tokens None: the envelope is malformed, which complete() retries and the run logs
+    # tokens None: the envelope is malformed, which complete() raises at once and the run logs
     payload = {"choices": [{"message": {"content": "resp"}}], **envelope}
 
     def transport(url, data, headers, timeout_s):
@@ -167,6 +167,21 @@ def test_http_backend_checks_every_envelope_field(envelope, tokens):
         response = backend.complete_once(req())
         assert (response.text, response.prompt_tokens, response.completion_tokens) == (
             "resp", *tokens)
+
+
+def test_malformed_envelope_is_not_retried(monkeypatch):
+    # the same endpoint would answer the same way again: one request, no back-off
+    calls, slept = [], []
+    monkeypatch.setattr("coevo.llm.time.sleep", slept.append)
+
+    def transport(url, data, headers, timeout_s):
+        calls.append(url)
+        return 200, b'{"choices": [{"message": {"content": [{"type": "text"}]}}]}'
+
+    backend = HttpBackend("http://example.test", transport=transport)
+    with pytest.raises(TransportError, match="^malformed response envelope$"):
+        complete(backend, req(), retries=3, backoff_s=0.5)
+    assert (len(calls), slept) == (1, [])
 
 
 def test_http_backend_retries_server_errors():

@@ -1,17 +1,28 @@
 import dataclasses
+import hashlib
 import json
 import os
 import random
+import shutil
+from pathlib import Path
 
 import pytest
 
-from conftest import TRAP4, UNIT_SQUARE, write_euc2d_file, write_mock_script, write_tsp_file
-from coevo import oracles
+from conftest import (
+    TRAP4,
+    UNIT_SQUARE,
+    edit_journal_line,
+    run_files,
+    write_euc2d_file,
+    write_mock_script,
+    write_tsp_file,
+)
+from coevo import oracles, orchestrator
 from coevo.errors import ConfigError
 from coevo.evaluator import FAIL_START
 from coevo.instances import load_benchmark
 from coevo.llm import MockBackend
-from coevo.orchestrator import EvolutionRun, RunConfig, resume
+from coevo.orchestrator import JOURNALS, EvolutionRun, RunConfig, resume
 from coevo.promptevo import REPAIR_DIRECTIVE
 from coevo.seeds import seed_source
 
@@ -231,7 +242,8 @@ def test_exhausted_script_degrades_to_recorded_skip(tmp_path):
     # only one generate response for 2 islands x 1 generation
     run, report = run_generations(tmp_path, [fenced(NN)], islands=2, iterations=1)
     assert report.generated_per_generation == [1]
-    assert any("llm failure" in e for e in report.events)
+    # the event names the generation being run, not the last one finished
+    assert any(e.startswith("gen 1: llm failure (") for e in report.events), report.events
     assert len(run.experience.records) == 1
 
 
@@ -428,34 +440,51 @@ def checkpoint_leaves(node, path=()):
 
 
 def test_checkpoint_leaf_mutations_fail_cleanly(tmp_path):
-    # one wrong-typed leaf per trial: the resume is a ConfigError or a finished run
+    # one wrong-typed leaf per trial, in the checkpoint or in a journal line it counts:
+    # the resume is a ConfigError that leaves the run directory as it was, or a finished run
     generate = [fenced(NN), BROKEN, fenced(TWO_OPT)]
     script = write_mock_script(tmp_path / "s.jsonl", generate=generate, evolve=["m"] * 3)
     cfg = config_for(tmp_path, script, iterations=3, islands=1)
     EvolutionRun(cfg, out_dir=tmp_path / "full").run()
-    text = (tmp_path / "full" / "checkpoints" / "gen-0002.json").read_text()
+    ckpt = Path("checkpoints") / "gen-0002.json"
+    text = (tmp_path / "full" / ckpt).read_text()
     doc = json.loads(text)
     # the 624 words of the RNG state vector count as one leaf
     paths = [p for p in checkpoint_leaves(doc)
              if p[:3] != ("state", "rng_state", 1) or p[3] == 0]
+    for name, mark in doc["journals"].items():
+        counted = (tmp_path / "full" / name).read_bytes()[:mark["bytes"]]
+        for i, line in enumerate(counted.decode().splitlines()):
+            paths += [(name, i, *p) for p in checkpoint_leaves(json.loads(line))]
     rng = random.Random(6)
     outcomes = {"ConfigError": 0, "completed": 0}
     for k, path in enumerate(rng.sample(paths, 30)):
-        mutated = json.loads(text)
-        parent = mutated
-        for key in path[:-1]:
-            parent = parent[key]
-        old = parent[path[-1]]
-        parent[path[-1]] = rng.choice(
-            [v for v in ("x", 7, 1.5, True, None, [], {}) if type(v) is not type(old)]
-        )
-        ckpt = tmp_path / f"trial{k}.json"
-        ckpt.write_text(json.dumps(mutated))
+        run_dir = tmp_path / f"run{k}"
+        shutil.copytree(tmp_path / "full", run_dir)
+
+        def mutate(node):
+            for key in path[(2 if path[0] in doc["journals"] else 0):-1]:
+                node = node[key]
+            old = node[path[-1]]
+            node[path[-1]] = rng.choice(
+                [v for v in ("x", 7, 1.5, True, None, [], {}) if type(v) is not type(old)]
+            )
+
+        if path[0] in doc["journals"]:
+            edit_journal_line(run_dir, run_dir / ckpt, path[0], path[1], mutate)
+        else:
+            mutated = json.loads(text)
+            mutate(mutated)
+            (run_dir / ckpt).write_text(json.dumps(mutated))
+        before = run_files(run_dir)
         try:
-            resume(ckpt, out_dir=tmp_path / f"trial{k}")
+            resume(run_dir / ckpt, out_dir=tmp_path / f"trial{k}")
             outcomes["completed"] += 1
         except ConfigError:
             outcomes["ConfigError"] += 1
+            with pytest.raises(ConfigError):
+                resume(run_dir / ckpt, out_dir=run_dir)
+            assert run_files(run_dir) == before, path
     assert outcomes["ConfigError"] > 0, outcomes
 
 
@@ -469,7 +498,11 @@ def test_failing_candidate_runs_write_identical_files(tmp_path):
     a, b = tmp_path / "A", tmp_path / "B"
     names = sorted(p.name for p in (a / "checkpoints").glob("gen-*.json"))
     assert names == ["gen-0000.json", "gen-0001.json", "gen-0002.json"]
-    for rel in [f"checkpoints/{name}" for name in names] + ["experience.jsonl"]:
+    sources = sorted(p.name for p in (a / "sources").iterdir())
+    assert sources == sorted(p.name for p in (b / "sources").iterdir())
+    assert len(sources) == 3  # the seed, the broken program, the seed stripped of its fence
+    for rel in ([f"checkpoints/{name}" for name in names] + list(JOURNALS)
+                + [f"sources/{name}" for name in sources]):
         assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
     failure = runs["A"].experience.records[0]
     assert failure.failure_class == "syntax/start-failure"
@@ -499,27 +532,90 @@ def test_checkpoint_holds_only_stored_counters(tmp_path):
     run_generations(tmp_path, [fenced(NN)] * 2, islands=2, iterations=1)
     path = tmp_path / "out" / "checkpoints" / "gen-0001.json"
     doc = json.loads(path.read_text())
-    assert doc["version"] == 6
+    assert doc["version"] == 7
     assert sorted(doc["counters"]) == [
         "base_errors", "events", "llm_calls", "next_seq", "optima", "pending_repair"
     ]
-    doc["version"] = 5
+    doc["version"] = 6
     path.write_text(json.dumps(doc))
-    with pytest.raises(ConfigError, match="unsupported version 5"):
+    with pytest.raises(ConfigError, match="unsupported version 6"):
         EvolutionRun.from_checkpoint(path)
 
 
 def test_record_outside_the_run_generations_is_malformed(tmp_path):
     # the report's per-generation counts and trace are indexed by record generation
     run_generations(tmp_path, [fenced(NN)] * 2, islands=2, iterations=1)
-    path = tmp_path / "out" / "checkpoints" / "gen-0001.json"
+    ckpt = Path("checkpoints") / "gen-0001.json"
     for generation in (0, 2):
-        doc = json.loads(path.read_text())
-        doc["experience"]["records"][0]["generation"] = generation
-        bad = tmp_path / f"gen{generation}.json"
-        bad.write_text(json.dumps(doc))
-        with pytest.raises(ConfigError, match="generations 1 to state/generation"):
-            EvolutionRun.from_checkpoint(bad)
+        run_dir = tmp_path / f"gen{generation}"
+        shutil.copytree(tmp_path / "out", run_dir)
+        edit_journal_line(run_dir, run_dir / ckpt, "experience.jsonl", 0,
+                          lambda r: r.update(generation=generation))
+        before = run_files(run_dir)
+        for out in (tmp_path / f"fresh{generation}", run_dir):
+            with pytest.raises(ConfigError, match="generations 1 to state/generation"):
+                EvolutionRun.from_checkpoint(run_dir / ckpt, out_dir=out)
+            assert run_files(run_dir) == before
+
+
+def test_checkpoint_holds_offsets_not_the_run(tmp_path):
+    run, _ = run_generations(tmp_path, [BROKEN, fenced(NN)] * 2, islands=2, iterations=2)
+    out = tmp_path / "out"
+    doc = json.loads((out / "checkpoints" / "gen-0002.json").read_text())
+    assert sorted(doc) == [
+        "config", "counters", "journals", "llm_state", "prompts", "state", "version"
+    ]
+    assert sorted(doc["state"]) == ["best_id", "generation", "rng_state", "stagnation"]
+    for name in JOURNALS:
+        data = (out / name).read_bytes()
+        assert doc["journals"][name] == {
+            "bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()
+        }
+    assert len((out / "candidates.jsonl").read_text().splitlines()) == len(run.state.candidates)
+    logged = sum(len(isl.log) for isl in run.state.islands)
+    assert len((out / "archive.jsonl").read_text().splitlines()) == logged
+    assert len((out / "experience.jsonl").read_text().splitlines()) == 4
+    # each distinct source once, named by its sha256
+    sources = {c.source for c in run.state.candidates.values()}
+    stored = {p.name: p.read_text() for p in (out / "sources").iterdir()}
+    assert sorted(stored.values()) == sorted(sources)
+    for name, source in stored.items():
+        assert name == hashlib.sha256(source.encode()).hexdigest() + ".py"
+    # an earlier checkpoint counts a prefix of what a later one counts
+    first = json.loads((out / "checkpoints" / "gen-0001.json").read_text())["journals"]
+    for name in JOURNALS:
+        counted = (out / name).read_bytes()[:first[name]["bytes"]]
+        assert hashlib.sha256(counted).hexdigest() == first[name]["sha256"]
+
+
+def test_crash_before_the_checkpoint_resumes_exactly(tmp_path, monkeypatch):
+    # the generation-2 journals are appended, then the checkpoint that would count them fails
+    generate = [BROKEN, fenced(NN), fenced(TWO_OPT), fenced(NN)] * 2
+    script = write_mock_script(tmp_path / "s.jsonl", generate=generate, evolve=["m"] * 4)
+    cfg = config_for(tmp_path, script, iterations=4, islands=2)
+    EvolutionRun(cfg, out_dir=tmp_path / "whole").run()
+    write_atomic = orchestrator.write_atomic
+
+    def crash(path, text):
+        if path.name == "gen-0002.json":
+            raise OSError("crashed")
+        write_atomic(path, text)
+
+    monkeypatch.setattr(orchestrator, "write_atomic", crash)
+    with pytest.raises(OSError, match="crashed"):
+        EvolutionRun(cfg, out_dir=tmp_path / "crashed").run()
+    monkeypatch.undo()
+    crashed = tmp_path / "crashed"
+    counted = json.loads((crashed / "checkpoints" / "gen-0001.json").read_text())["journals"]
+    assert all((crashed / name).stat().st_size > counted[name]["bytes"] for name in JOURNALS)
+    resume(crashed / "checkpoints" / "gen-0001.json", out_dir=crashed)
+    assert report_without_wall(crashed / "report.json") == report_without_wall(
+        tmp_path / "whole" / "report.json"
+    )
+    whole = run_files(tmp_path / "whole")
+    after = run_files(crashed)
+    del whole[Path("report.json")], after[Path("report.json")]
+    assert after == whole
 
 
 def test_repair_mode_retries_failed_offspring(tmp_path):
