@@ -78,11 +78,15 @@ def held_karp(
     limit: int = HELD_KARP_LIMIT,
     time_limit: float | None = None,
 ) -> OracleResult:
-    """Exact minimum tour via subset DP, vectorized over same-size subsets.
+    """Exact minimum tour via subset DP, one popcount layer at a time.
 
-    dp[mask, j] is the cheapest path from vertex 0 through the vertex set
-    ``mask`` (over vertices 1..n-1) ending at j. Additions follow visit
-    order, so values are bit-identical to a running sum along the tour.
+    A mask is a set of vertices among 1..n-1; the value of (mask, j) is the
+    cheapest path from vertex 0 through ``mask`` ending at j. Only the
+    previous layer's values are kept, as a rows-by-end-vertex array with
+    ``inf`` where j is not in the mask, plus one ``int8`` table per layer of
+    each entry's predecessor, from which the witness is walked back.
+    Additions follow visit order, so values are bit-identical to a running
+    sum along the tour.
     """
     n = instance.n
     if n > limit:
@@ -96,65 +100,52 @@ def held_karp(
 
     m = n - 1  # vertices 1..n-1 tracked in the bitmask
     D = np.asarray(matrix, dtype=np.float64)
-    size = 1 << m
-    dp = np.full((size, m), np.inf)
-    for j in range(m):
-        dp[1 << j, j] = D[0, j + 1]
+    masks = np.arange(1 << m, dtype=np.int32)
+    popcount = np.zeros(1 << m, dtype=np.int32)
+    for b in range(m):
+        popcount += (masks >> b) & 1
+    # rank[mask] is the mask's row within its layer; layers list masks ascending
+    rank = np.empty(1 << m, dtype=np.int32)
+    layers = []
+    for k in range(m + 1):
+        layer = np.flatnonzero(popcount == k).astype(np.int32)
+        rank[layer] = np.arange(layer.size, dtype=np.int32)
+        layers.append(layer)
+    del popcount
 
-    layers: list[list[int]] = [[] for _ in range(m + 1)]
-    for k in range(1, m + 1):
-        for combo in itertools.combinations(range(m), k):
-            mask = 0
-            for b in combo:
-                mask |= 1 << b
-            layers[k].append(mask)
-
-    for k in range(1, m):
+    prev = np.full((m, m), np.inf)
+    prev[np.arange(m), np.arange(m)] = D[0, 1:]
+    parents = []  # parents[k - 2][rank, j]: the vertex before j on a layer-k path
+    for k in range(2, m + 1):
         _check_deadline(deadline, "held_karp")
-        masks_k = np.array(layers[k], dtype=np.int64)
-        for i in range(m):
-            has_i = ((masks_k >> i) & 1).astype(bool)
-            if not has_i.any():
-                continue
-            for j in range(m):
-                if j == i:
-                    continue
-                sel = has_i & (((masks_k >> j) & 1) == 0)
-                src = masks_k[sel]
-                if src.size == 0:
-                    continue
-                dest = src | (1 << j)
-                cand = dp[src, i] + D[i + 1, j + 1]
-                cur = dp[dest, j]
-                upd = cand < cur
-                if upd.any():
-                    dp[dest[upd], j] = cand[upd]
+        layer = layers[k]
+        values = np.full((layer.size, m), np.inf)
+        parent = np.zeros((layer.size, m), dtype=np.int8)
+        for j in range(m):
+            rows = np.flatnonzero((layer >> j) & 1)
+            cand = prev[rank[layer[rows] ^ (1 << j)]]
+            cand += D[1:, j + 1]
+            best = cand.argmin(axis=1)  # lowest predecessor among equal sums
+            values[rows, j] = cand[np.arange(rows.size), best]
+            parent[rows, j] = best
+        parents.append(parent)
+        prev = values
 
-    closing = dp[size - 1, :] + D[1:, 0]
+    closing = prev[0] + D[1:, 0]
     j = int(np.argmin(closing))
     value = float(closing[j])
 
-    # walk predecessors; stored dp values are exact argmin expressions
     order_rev = [j]
-    mask = size - 1
-    while mask != (1 << j):
-        prev = mask ^ (1 << j)
-        target = dp[mask, j]
-        nxt = -1
-        for i in range(m):
-            if i != j and (prev >> i) & 1 and dp[prev, i] + D[i + 1, j + 1] == target:
-                nxt = i
-                break
-        if nxt < 0:  # float tie fell between paths; take the best predecessor
-            cands = [i for i in range(m) if i != j and (prev >> i) & 1]
-            nxt = min(cands, key=lambda i: dp[prev, i] + D[i + 1, j + 1])
-        mask = prev
-        j = nxt
+    mask = (1 << m) - 1
+    for k in range(m, 1, -1):
+        i = int(parents[k - 2][rank[mask], j])
+        mask ^= 1 << j
+        j = i
         order_rev.append(j)
 
     order = (0,) + tuple(v + 1 for v in reversed(order_rev))
-    expanded = int(np.isfinite(dp).sum())
-    return OracleResult(value, Tour(order), expanded)
+    # the finite entries: every (mask, j) with j in mask, as the matrix is finite
+    return OracleResult(value, Tour(order), m << (m - 1))
 
 
 def exact_bpp(

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -12,8 +13,10 @@ from coevo.heuristics import (
     validate_packing,
     validate_tour,
 )
-from coevo.instances import BppInstance, TspInstance
+from coevo.instances import BppInstance, TspInstance, coords_to_matrix
 from coevo.oracles import (
+    BRUTE_FORCE_LIMIT,
+    HELD_KARP_LIMIT,
     brute_force_tsp,
     ensure_optima,
     exact_bpp,
@@ -64,9 +67,47 @@ def test_brute_force_refuses_large():
 
 def test_held_karp_matches_brute_force_exactly():
     rng = random.Random(3)
-    for _ in range(40):
-        inst = random_tsp(rng, rng.randint(4, 8))
-        assert held_karp(inst).optimal_value == brute_force_tsp(inst).optimal_value
+    # "nearest" rounds to integers, whose tied sums exercise the predecessor walk
+    for rounding in ("exact", "nearest"):
+        for _ in range(20):
+            inst = random_tsp(rng, rng.randint(4, BRUTE_FORCE_LIMIT), rounding)
+            result = held_karp(inst)
+            assert result.optimal_value == brute_force_tsp(inst).optimal_value
+            assert tour_length(inst, result.witness) == result.optimal_value
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_held_karp_convex_position_at_limit(seed):
+    """At n = HELD_KARP_LIMIT the optimum is known: points in convex position
+    are toured in hull order."""
+    rng = random.Random(seed)
+    n = HELD_KARP_LIMIT
+    angles = sorted(rng.uniform(0, 2 * math.pi) for _ in range(n))
+    labels = list(range(n))
+    rng.shuffle(labels)  # labels[p] is the vertex at the p-th hull position
+    coords = [None] * n
+    for p, a in enumerate(angles):
+        coords[labels[p]] = (500 + 400 * math.cos(a), 500 + 400 * math.sin(a))
+    inst = TspInstance("convex", n, coords_to_matrix(coords, "exact"))
+    start = labels.index(0)
+    hull = tuple(labels[start:] + labels[:start])
+    result = held_karp(inst)
+    assert result.witness.order in (hull, hull[:1] + hull[:0:-1])
+    assert tour_length(inst, result.witness) == result.optimal_value
+    assert result.expanded_states == (n - 1) * 2 ** (n - 2)
+
+
+def test_held_karp_memory_at_limit():
+    """The DP holds one subset layer at a time; the full 2^17 x 17 float table
+    alone would be 17.8 MB at n = 18."""
+    inst = random_tsp(random.Random(15), HELD_KARP_LIMIT)
+    tracemalloc.start()
+    try:
+        held_karp(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20_000_000
 
 
 def test_held_karp_unit_square_and_small(unit_square):
