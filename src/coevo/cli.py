@@ -14,6 +14,7 @@ import shutil
 import sys
 from pathlib import Path
 
+from .codec import decode
 from .errors import ConfigError, CoevoError, OracleLimitError, ParseError
 from .evaluator import Candidate, RunnerConfig, evaluate_candidate
 from .instances import (
@@ -106,6 +107,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    cfg = RunnerConfig(timeout_s=args.timeout, workers=args.workers)
     target = args.target
     if target in SEEDS:
         source = seed_source(target)
@@ -119,7 +121,6 @@ def cmd_eval(args) -> int:
     instance_set = load_benchmark(args.instances)
     instance_set = ensure_optima(instance_set, tsp_limit=args.tsp_limit,
                                  bpp_limit=args.bpp_limit)
-    cfg = RunnerConfig(timeout_s=args.timeout, workers=args.workers)
     candidate = Candidate(id=f"eval-{label}", source=source)
     report = evaluate_candidate(candidate, instance_set, cfg)
 
@@ -195,9 +196,10 @@ def _report_rows(paths: list[str]) -> list[dict]:
         try:
             doc = json.loads(Path(path).read_text())
             dataset = doc["dataset"]
-            base_errors = doc["base_errors"]
-            best_error = doc["best"]["mean_relative_error"]
-        except (OSError, json.JSONDecodeError, KeyError, TypeError):
+            base_errors = decode(dict[str, float], doc["base_errors"], "base_errors")
+            best_error = decode(float, doc["best"]["mean_relative_error"],
+                                "best/mean_relative_error")
+        except (OSError, json.JSONDecodeError, KeyError, TypeError, ConfigError):
             raise ConfigError(f"malformed report file: {path}") from None
         for seed_name in sorted(base_errors):
             rows.append(

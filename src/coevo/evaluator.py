@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
-from .errors import MissingOptimumError
+from .errors import ConfigError, MissingOptimumError
 from .heuristics import Packing, Tour, tour_length_core, validate_packing, validate_tour
 from .instances import Instance, InstanceSet, TspInstance
 from .oracles import relative_error
@@ -86,9 +86,9 @@ class RunnerConfig:
 
     def __post_init__(self) -> None:
         if not self.timeout_s > 0:
-            raise ValueError("timeout must be positive")
+            raise ConfigError("timeout must be positive")
         if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+            raise ConfigError("workers must be >= 1")
 
 
 @dataclass

@@ -8,9 +8,9 @@ experience and islands exchange elites on the migration schedule. With the
 mock backend and a fixed seed the whole run is reproducible bit for bit,
 and every generation is checkpointed for exact resume.
 
-A run directory holds each distinct candidate source once, under
-``sources/<sha256>.py``, and three append-only journals: ``candidates.jsonl``
-(one line per registered candidate, its source given by hash),
+A run directory holds four append-only journals: ``sources.jsonl`` (each
+distinct candidate source once, as a JSON string), ``candidates.jsonl`` (one
+line per registered candidate, its source given by the sha256 of its bytes),
 ``archive.jsonl`` (one line per archive-log entry) and ``experience.jsonl``.
 A checkpoint, ``checkpoints/gen-NNNN.json``, holds the rest of the run's
 state and, for each journal, how many of its bytes it counts and their
@@ -28,7 +28,7 @@ import os
 import re
 import time
 import typing
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -58,12 +58,12 @@ from .promptevo import (
 )
 from .seeds import SEEDS, seed_source
 
-CHECKPOINT_VERSION = 7
+CHECKPOINT_VERSION = 8
 REPORT_VERSION = 1
+SOURCE_JOURNAL = "sources.jsonl"
 CANDIDATE_JOURNAL = "candidates.jsonl"
 ARCHIVE_JOURNAL = "archive.jsonl"
-JOURNALS = (CANDIDATE_JOURNAL, ARCHIVE_JOURNAL, EXPERIENCE_JOURNAL)
-SOURCES = "sources"  # the run directory's store of sources, each named by its sha256
+JOURNALS = (SOURCE_JOURNAL, CANDIDATE_JOURNAL, ARCHIVE_JOURNAL, EXPERIENCE_JOURNAL)
 # EvolutionRun attributes a checkpoint holds besides the state, prompts,
 # journal marks and llm cursors it rebuilds, with their JSON types.
 # "optima" maps oracles.instance_key to the optimum the run's oracle found.
@@ -124,6 +124,8 @@ class RunConfig:
             raise ConfigError("total timeout must be positive when set")
         if self.migration_interval < 0:
             raise ConfigError("migration_interval must be >= 0 (0 disables migration)")
+        if self.migrants_per_event < 0:
+            raise ConfigError("migrants_per_event must be >= 0")
         if self.prompt_update_interval < 1:
             raise ConfigError("prompt_update_interval must be >= 1")
         if self.checkpoint_interval < 1:
@@ -138,6 +140,11 @@ class RunConfig:
             raise ConfigError("temperature must be >= 0")
         if not 0 < self.top_p <= 1:
             raise ConfigError("top_p must be in (0, 1]")
+        if self.max_tokens < 1:
+            raise ConfigError("max_tokens must be >= 1")
+        for name in ("epsilon_base", "epsilon_raised"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ConfigError(f"{name} must be in [0, 1]")
         if self.backend not in ("mock", "live"):
             raise ConfigError(f"backend must be mock or live, got {self.backend!r}")
         if self.backend == "mock" and not self.mock_script:
@@ -293,7 +300,7 @@ class EvolutionRun:
         self.next_seq = 0
         self.pending_repair: dict[int, str] = {}
         # What the out directory already holds: the journals, opened by the first
-        # checkpoint or by a resume, the sources stored, and each island's log entries.
+        # checkpoint or by a resume, each journaled source's sha256, and each island's log.
         self._journals: dict[str, Journal] | None = None
         self._stored: set[str] = set()
         self._logged = [0] * config.islands
@@ -439,7 +446,6 @@ class EvolutionRun:
             failure_class=report.failure_class,
             diagnostic=report.diagnostic,
         ))
-        pstate.attribute(pstate.current_id, outcome)
 
     def step(self) -> EvolutionState:
         """Run exactly one generation across the islands."""
@@ -534,6 +540,10 @@ class EvolutionRun:
         executable = list(scored.values())
         rates: list[float | None] = [(e / g) if g else None for g, e in zip(generated, executable)]
         total_gen = sum(generated)
+        outcomes: dict[tuple[int, int], Counter] = defaultdict(Counter)  # by prompt, version
+        for r in records:
+            prompt = r.island if self.config.per_island_prompts else 0
+            outcomes[prompt, r.prompt_version][r.outcome] += 1
         prompt_versions = []
         for i, pstate in enumerate(self.prompts):
             for v in pstate.versions:
@@ -541,7 +551,7 @@ class EvolutionRun:
                     "id": v.id,
                     "created_at_generation": v.created_at_generation,
                     "discarded": v.discarded,
-                    "outcomes": dict(sorted(v.outcomes.items())),
+                    "outcomes": dict(sorted(outcomes[i, v.id].items())),
                 }
                 if self.config.per_island_prompts:
                     entry["island"] = i
@@ -587,25 +597,20 @@ class EvolutionRun:
             "journals": {name: journal.mark() for name, journal in self._journals.items()},
         }
 
-    def _store_source(self, source: str) -> str:
-        """Write ``source`` to the run's source store unless it is there; its sha256."""
-        data = source.encode("utf-8", "surrogatepass")
-        digest = hashlib.sha256(data).hexdigest()
-        if digest not in self._stored:
-            write_atomic(self.out / SOURCES / f"{digest}.py", data)
-            self._stored.add(digest)
-        return digest
-
     def _append_journals(self) -> None:
         """Journal what the run registered, logged and recorded since the last call; sync it."""
         if self._journals is None:  # a fresh run
-            (self.out / SOURCES).mkdir(exist_ok=True)
             self._journals = {name: Journal(self.out / name) for name in JOURNALS}
-        candidates, archive, experience = (self._journals[name] for name in JOURNALS)
-        new = itertools.islice(self.state.candidates.values(), candidates.lines, None)
-        candidates.append([
-            {**dataclasses.asdict(c), "source": self._store_source(c.source)} for c in new
-        ])
+        sources, candidates, archive, experience = (self._journals[name] for name in JOURNALS)
+        new_sources, lines = [], []
+        for c in itertools.islice(self.state.candidates.values(), candidates.lines, None):
+            digest = _source_sha256(c.source)
+            if digest not in self._stored:
+                self._stored.add(digest)
+                new_sources.append(c.source)
+            lines.append({**dataclasses.asdict(c), "source": digest})
+        sources.append(new_sources)
+        candidates.append(lines)
         islands = self.state.islands
         archive.append([dataclasses.asdict(e)
                         for isl, done in zip(islands, self._logged) for e in isl.log[done:]])
@@ -628,11 +633,12 @@ class EvolutionRun:
         out_dir: str | Path | None = None,
         backend: Backend | None = None,
     ) -> "EvolutionRun":
-        """Rebuild a run from its checkpoint and the journals and sources beside it.
+        """Rebuild a run from its checkpoint and the journals beside it.
 
         The run directory is the checkpoint's grandparent (``<run>/checkpoints/gen-NNNN.json``).
         Everything is read and checked before any file is written: bad content, a journal
-        that differs from what the checkpoint counts, or a missing source is a ConfigError.
+        that differs from what the checkpoint counts, or a candidate whose source the
+        counted sources do not hold is a ConfigError.
         """
         root = Path(path).parent.parent
         try:
@@ -644,13 +650,17 @@ class EvolutionRun:
             if sorted(marks) != sorted(JOURNALS):
                 raise ConfigError(f"journals must name {', '.join(JOURNALS)}")
             prefixes = {name: _read_journal(root / name, marks[name]) for name in JOURNALS}
+            sources = {_source_sha256(s): s
+                       for s in _decode_lines(str, SOURCE_JOURNAL, prefixes[SOURCE_JOURNAL])}
             registered = _decode_lines(Candidate, CANDIDATE_JOURNAL, prefixes[CANDIDATE_JOURNAL])
-            sources = _read_sources(root / SOURCES, [c.source for c in registered])
             candidates: dict[str, Candidate] = {}
             for i, candidate in enumerate(registered, start=1):
                 if candidate.id in candidates:
                     raise ConfigError(f"{CANDIDATE_JOURNAL} line {i}: {candidate.id!r} is "
                                       "registered twice")
+                if candidate.source not in sources:
+                    raise ConfigError(f"{CANDIDATE_JOURNAL} line {i}: {SOURCE_JOURNAL} holds "
+                                      f"no source with sha256 {candidate.source!r}")
                 candidate.source = sources[candidate.source]
                 candidates[candidate.id] = candidate
             logs: list[list[LogEntry]] = [[] for _ in range(config.islands)]
@@ -676,6 +686,14 @@ class EvolutionRun:
             ), state.candidates)
             if not all(1 <= r.generation <= state.generation for r in experience.records):
                 raise ConfigError("experience records must name generations 1 to state/generation")
+            for i, r in enumerate(experience.records, start=1):
+                if not 0 <= r.island < config.islands:
+                    raise ConfigError(f"{EXPERIENCE_JOURNAL} line {i}: the run has no island "
+                                      f"{r.island}")
+                held = prompts[r.island if config.per_island_prompts else 0].versions
+                if not 0 <= r.prompt_version < len(held):
+                    raise ConfigError(f"{EXPERIENCE_JOURNAL} line {i}: prompt version "
+                                      f"{r.prompt_version} is not held")
             llm_state = decode(dict[str, int], doc["llm_state"], "llm_state")
             counters = {name: decode(kind, doc["counters"][name], f"counters/{name}")
                         for name, kind in COUNTERS.items()}
@@ -705,26 +723,13 @@ class EvolutionRun:
         for name, value in counters.items():
             setattr(run, name, value)
         if run.out is not None:
-            run._continue_files(root, prefixes, sources)
+            run._continue_files(prefixes, sources)
         return run
 
-    def _continue_files(self, root: Path, prefixes: dict[str, bytes],
-                        sources: dict[str, str]) -> None:
-        """Make out hold what the checkpoint counts, then journal onwards from there.
-
-        In the run's own directory each journal is cut back to the bytes the checkpoint
-        counts; elsewhere those bytes and the sources the candidates name are written.
-        """
-        own = self.out.resolve() == root.resolve()
-        (self.out / SOURCES).mkdir(exist_ok=True)
+    def _continue_files(self, prefixes: dict[str, bytes], sources: dict[str, str]) -> None:
+        """Make out hold the journal bytes the checkpoint counts, then journal onwards."""
         for name, data in prefixes.items():
-            if own:
-                os.truncate(self.out / name, len(data))
-            else:
-                write_atomic(self.out / name, data)
-        if not own:
-            for source in sources.values():
-                self._store_source(source)
+            write_atomic(self.out / name, data)
         self._stored.update(sources)
         self._journals = {name: Journal(self.out / name, data) for name, data in prefixes.items()}
         self._logged = [len(isl.log) for isl in self.state.islands]
@@ -771,7 +776,7 @@ class Journal:
         self.size = len(data)
         self._hash = hashlib.sha256(data)
 
-    def append(self, records: list[dict]) -> None:
+    def append(self, records: list) -> None:
         """One sorted-key JSON line per record, synced to disk."""
         data = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records).encode()
         if not self.size:  # the first bytes replace any file a former run left there
@@ -822,19 +827,6 @@ def _decode_lines(tp, name: str, data: bytes) -> list:
     return out
 
 
-def _read_sources(store: Path, digests: list[str]) -> dict[str, str]:
-    """Each named source from the store, checked against the sha256 it is named by."""
-    sources: dict[str, str] = {}
-    for digest in digests:
-        if digest in sources:
-            continue
-        if not _SHA256_HEX.fullmatch(digest):
-            raise ConfigError(f"{CANDIDATE_JOURNAL}: source {digest!r} is not a sha256 hex digest")
-        try:
-            data = (store / f"{digest}.py").read_bytes()
-        except FileNotFoundError:
-            raise ConfigError(f"source {store / digest}.py is missing") from None
-        if hashlib.sha256(data).hexdigest() != digest:
-            raise ConfigError(f"source {store / digest}.py does not hash to its name")
-        sources[digest] = data.decode("utf-8", "surrogatepass")
-    return sources
+def _source_sha256(source: str) -> str:
+    """How ``candidates.jsonl`` names a source: the sha256 of its bytes."""
+    return hashlib.sha256(source.encode("utf-8", "surrogatepass")).hexdigest()

@@ -120,7 +120,6 @@ class PromptVersion:
     id: int
     text: str
     created_at_generation: int
-    outcomes: dict[str, int] = field(default_factory=dict)
     discarded: bool = False
 
 
@@ -155,10 +154,6 @@ class PromptState:
 
     def current(self) -> PromptVersion:
         return self.versions[self.current_id]
-
-    def attribute(self, version_id: int, outcome: str) -> None:
-        outcomes = self.versions[version_id].outcomes
-        outcomes[outcome] = outcomes.get(outcome, 0) + 1
 
     def adopt(self, text: str, generation: int) -> PromptVersion:
         """Append a new version, switch to it, and arm the revert watchdog."""

@@ -77,17 +77,26 @@ def run_files(root):
     return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
-def edit_journal_line(run_dir, checkpoint, journal, index, edit):
-    """Apply ``edit`` to the dict on line ``index`` of a journal, within the bytes the
-    checkpoint counts, and record the new length and sha256 in that checkpoint."""
+def rewrite_journal(run_dir, checkpoint, journal, change):
+    """Replace the lines of a journal that the checkpoint counts with ``change(lines)``,
+    and record the new length and sha256 in that checkpoint."""
     doc = json.loads(checkpoint.read_text())
     mark = doc["journals"][journal]
     data = (run_dir / journal).read_bytes()
-    lines = data[:mark["bytes"]].decode().splitlines(keepends=True)
-    record = json.loads(lines[index])
-    edit(record)
-    lines[index] = json.dumps(record, sort_keys=True) + "\n"
-    head = "".join(lines).encode()
+    head = "".join(change(data[:mark["bytes"]].decode().splitlines(keepends=True))).encode()
     (run_dir / journal).write_bytes(head + data[mark["bytes"]:])
     mark.update(bytes=len(head), sha256=hashlib.sha256(head).hexdigest())
     checkpoint.write_text(json.dumps(doc))
+
+
+def edit_journal_line(run_dir, checkpoint, journal, index, edit):
+    """Apply ``edit`` to the value on line ``index`` of a journal, as ``rewrite_journal``
+    does. ``edit`` changes a dict in place, or returns the new value: a line of
+    ``sources.jsonl`` is a string."""
+    def change(lines):
+        value = json.loads(lines[index])
+        edited = edit(value)
+        lines[index] = json.dumps(value if edited is None else edited, sort_keys=True) + "\n"
+        return lines
+
+    rewrite_journal(run_dir, checkpoint, journal, change)

@@ -6,6 +6,7 @@ from conftest import (
     TRAP4,
     UNIT_SQUARE,
     edit_journal_line,
+    rewrite_journal,
     run_files,
     write_euc2d_file,
     write_mock_script,
@@ -130,6 +131,14 @@ def test_cmd_eval_candidate_file(tmp_path, capsys):
 def test_cmd_eval_unknown_target(tmp_path, capsys):
     inst = bpp_dir(tmp_path)
     assert main(["eval", "--target", "simulated-annealing", "--instances", str(inst)]) == 1
+
+
+def test_cmd_eval_bad_runner_value_exit_1(tmp_path, capsys):
+    inst = bpp_dir(tmp_path)
+    for flag, message in (("--workers", "workers must be >= 1"),
+                          ("--timeout", "timeout must be positive")):
+        assert main(["eval", "--target", "first-fit", "--instances", str(inst), flag, "0"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_cmd_eval_failing_candidate_exit_2(tmp_path, capsys):
@@ -274,10 +283,20 @@ def test_cmd_report_base_matches_eval(tmp_path, capsys):
     assert f"{base:.2f}" in eval_out
 
 
-def test_cmd_report_malformed_file(tmp_path):
+def test_cmd_report_malformed_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["report", str(bad)]) == 1
+    good = {"dataset": "d", "base_errors": {"nearest-neighbor": 1.5},
+            "best": {"mean_relative_error": 0.5}}
+    for case in ({"base_errors": [1.5]}, {"base_errors": {"nearest-neighbor": "x"}},
+                 {"best": {"mean_relative_error": None}}):
+        bad.write_text(json.dumps({**good, **case}))
+        capsys.readouterr()
+        assert main(["report", str(bad)]) == 1, case
+        assert capsys.readouterr().err == f"error: malformed report file: {bad}\n", case
+    bad.write_text(json.dumps(good))
+    assert main(["report", str(bad)]) == 0
 
 
 def test_cmd_run_resume_flag(tmp_path):
@@ -329,7 +348,7 @@ def test_cmd_run_resume_malformed_checkpoint_exit_1(tmp_path, capsys):
         "unknown-key": edited(lambda d: d["config"].update(bogus=1)),
         "mistyped-key": edited(lambda d: d["config"].update(iterations="twelve")),
         "wrong-version": edited(lambda d: d.update(version=99)),
-        "previous-version": edited(lambda d: d.update(version=6)),
+        "previous-version": edited(lambda d: d.update(version=7)),
         "missing-section": edited(lambda d: d.pop("state")),
         "wrong-typed-section": edited(lambda d: d.update(counters=[])),
         "nested-leaf": journal("experience.jsonl", 0, lambda r: r.update(child_error="x")),
@@ -354,13 +373,15 @@ def test_cmd_run_resume_malformed_checkpoint_exit_1(tmp_path, capsys):
         "bad-optimum-key": edited(lambda d: d["counters"]["optima"].update({"ab12": 4})),
         "missing-journal-mark": edited(lambda d: d["journals"].pop("archive.jsonl")),
         "source-not-a-hash": journal("candidates.jsonl", 0, lambda r: r.update(source="x")),
-        # the journals and sources no longer hold what the checkpoint counts
+        # a source line that no longer hashes as the candidates name it, or is gone
+        "changed-source": journal("sources.jsonl", 0, lambda s: s + "# edited\n"),
+        "missing-source": lambda run: rewrite_journal(run, run / ckpt, "sources.jsonl",
+                                                      lambda lines: lines[1:]),
+        # the journals no longer hold what the checkpoint counts
         "truncated-journal": rewrite("experience.jsonl", lambda data: data[:-10]),
         "changed-journal": rewrite(
             "archive.jsonl", lambda data: data.replace(b'"generation": 0', b'"generation": 1', 1)
         ),
-        "changed-source": rewrite("sources/*.py", lambda data: data + b"# edited\n"),
-        "missing-source": lambda run: sorted((run / "sources").iterdir())[0].unlink(),
         "missing-journal": lambda run: (run / "candidates.jsonl").unlink(),
     }
     capsys.readouterr()

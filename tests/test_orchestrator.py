@@ -4,6 +4,7 @@ import json
 import os
 import random
 import shutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -152,6 +153,11 @@ def test_config_validation():
         {"total_timeout_s": 0.0},
         {"migration_interval": -1},
         {"experience_window": 0},
+        {"migrants_per_event": -1},
+        {"epsilon_base": -0.1},
+        {"epsilon_base": 1.5},
+        {"epsilon_raised": 1.5},
+        {"max_tokens": 0},
     ]
     for override in bad_values:
         with pytest.raises(ConfigError):
@@ -303,6 +309,27 @@ def test_prompt_versions_grow_each_generation(tmp_path):
     run, report = run_generations(tmp_path, [fenced(NN)] * 4, islands=2, iterations=2)
     assert len(run.prompts[0].versions) == 3  # initial + one per generation
     assert [v["created_at_generation"] for v in report.prompt_versions] == [0, 1, 2]
+
+
+def test_prompt_outcomes_are_counted_from_the_experience_journal(tmp_path):
+    generate = [BROKEN, fenced(TWO_OPT), fenced(NN)] * 2
+    for per_island in (False, True):
+        base = tmp_path / f"per-island-{per_island}"
+        base.mkdir()
+        run_generations(base, generate, evolve=["m"] * 6, islands=2, iterations=3,
+                        per_island_prompts=per_island)
+        out = base / "out"
+        records = [json.loads(line)
+                   for line in (out / "experience.jsonl").read_text().splitlines()]
+        expected = Counter((r["island"] if per_island else 0, r["prompt_version"], r["outcome"])
+                           for r in records)
+        reported = Counter()
+        for entry in json.loads((out / "report.json").read_text())["prompt_versions"]:
+            assert ("island" in entry) == per_island
+            for outcome, n in entry["outcomes"].items():
+                reported[entry.get("island", 0), entry["id"], outcome] += n
+        assert reported == expected
+        assert len({v for _, v, _ in expected}) > 1 and len({o for *_, o in expected}) > 1
 
 
 def test_migration_fires_on_schedule(tmp_path):
@@ -462,13 +489,18 @@ def test_checkpoint_leaf_mutations_fail_cleanly(tmp_path):
         run_dir = tmp_path / f"run{k}"
         shutil.copytree(tmp_path / "full", run_dir)
 
-        def mutate(node):
-            for key in path[(2 if path[0] in doc["journals"] else 0):-1]:
-                node = node[key]
-            old = node[path[-1]]
-            node[path[-1]] = rng.choice(
+        def wrong_type(old):
+            return rng.choice(
                 [v for v in ("x", 7, 1.5, True, None, [], {}) if type(v) is not type(old)]
             )
+
+        def mutate(node):
+            keys = path[2:] if path[0] in doc["journals"] else path
+            if not keys:  # a sources.jsonl line is a string, a leaf of its own
+                return wrong_type(node)
+            for key in keys[:-1]:
+                node = node[key]
+            node[keys[-1]] = wrong_type(node[keys[-1]])
 
         if path[0] in doc["journals"]:
             edit_journal_line(run_dir, run_dir / ckpt, path[0], path[1], mutate)
@@ -498,11 +530,9 @@ def test_failing_candidate_runs_write_identical_files(tmp_path):
     a, b = tmp_path / "A", tmp_path / "B"
     names = sorted(p.name for p in (a / "checkpoints").glob("gen-*.json"))
     assert names == ["gen-0000.json", "gen-0001.json", "gen-0002.json"]
-    sources = sorted(p.name for p in (a / "sources").iterdir())
-    assert sources == sorted(p.name for p in (b / "sources").iterdir())
-    assert len(sources) == 3  # the seed, the broken program, the seed stripped of its fence
-    for rel in ([f"checkpoints/{name}" for name in names] + list(JOURNALS)
-                + [f"sources/{name}" for name in sources]):
+    # the seed, the broken program, the seed stripped of its fence
+    assert len((a / "sources.jsonl").read_text().splitlines()) == 3
+    for rel in [f"checkpoints/{name}" for name in names] + list(JOURNALS):
         assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
     failure = runs["A"].experience.records[0]
     assert failure.failure_class == "syntax/start-failure"
@@ -532,13 +562,13 @@ def test_checkpoint_holds_only_stored_counters(tmp_path):
     run_generations(tmp_path, [fenced(NN)] * 2, islands=2, iterations=1)
     path = tmp_path / "out" / "checkpoints" / "gen-0001.json"
     doc = json.loads(path.read_text())
-    assert doc["version"] == 7
+    assert doc["version"] == 8
     assert sorted(doc["counters"]) == [
         "base_errors", "events", "llm_calls", "next_seq", "optima", "pending_repair"
     ]
-    doc["version"] = 6
+    doc["version"] = 7
     path.write_text(json.dumps(doc))
-    with pytest.raises(ConfigError, match="unsupported version 6"):
+    with pytest.raises(ConfigError, match="unsupported version 7"):
         EvolutionRun.from_checkpoint(path)
 
 
@@ -554,6 +584,23 @@ def test_record_outside_the_run_generations_is_malformed(tmp_path):
         before = run_files(run_dir)
         for out in (tmp_path / f"fresh{generation}", run_dir):
             with pytest.raises(ConfigError, match="generations 1 to state/generation"):
+                EvolutionRun.from_checkpoint(run_dir / ckpt, out_dir=out)
+            assert run_files(run_dir) == before
+
+
+def test_record_naming_no_prompt_version_of_its_island_is_malformed(tmp_path):
+    # the report counts each prompt version's outcomes from the records that name it
+    run_generations(tmp_path, [fenced(NN)] * 2, islands=2, iterations=1)
+    ckpt = Path("checkpoints") / "gen-0001.json"
+    for field, value, message in (("prompt_version", 99, "prompt version 99 is not held"),
+                                  ("island", 2, "the run has no island 2")):
+        run_dir = tmp_path / field
+        shutil.copytree(tmp_path / "out", run_dir)
+        edit_journal_line(run_dir, run_dir / ckpt, "experience.jsonl", 0,
+                          lambda r: r.update({field: value}))
+        before = run_files(run_dir)
+        for out in (tmp_path / f"fresh-{field}", run_dir):
+            with pytest.raises(ConfigError, match=f"experience.jsonl line 1: {message}"):
                 EvolutionRun.from_checkpoint(run_dir / ckpt, out_dir=out)
             assert run_files(run_dir) == before
 
@@ -575,12 +622,14 @@ def test_checkpoint_holds_offsets_not_the_run(tmp_path):
     logged = sum(len(isl.log) for isl in run.state.islands)
     assert len((out / "archive.jsonl").read_text().splitlines()) == logged
     assert len((out / "experience.jsonl").read_text().splitlines()) == 4
-    # each distinct source once, named by its sha256
-    sources = {c.source for c in run.state.candidates.values()}
-    stored = {p.name: p.read_text() for p in (out / "sources").iterdir()}
-    assert sorted(stored.values()) == sorted(sources)
-    for name, source in stored.items():
-        assert name == hashlib.sha256(source.encode()).hexdigest() + ".py"
+    # each distinct source once, named in candidates.jsonl by its sha256
+    sources = [json.loads(line) for line in (out / "sources.jsonl").read_text().splitlines()]
+    assert sorted(sources) == sorted({c.source for c in run.state.candidates.values()})
+    digests = {hashlib.sha256(s.encode()).hexdigest() for s in sources}
+    named = [json.loads(line)["source"]
+             for line in (out / "candidates.jsonl").read_text().splitlines()]
+    assert set(named) == digests
+    assert not (out / "sources").exists()
     # an earlier checkpoint counts a prefix of what a later one counts
     first = json.loads((out / "checkpoints" / "gen-0001.json").read_text())["journals"]
     for name in JOURNALS:

@@ -118,12 +118,10 @@ def test_initial_state_loads_task_template():
 def test_state_roundtrip():
     state = PromptState.initial("tsp")
     state.adopt("new prompt {parent-source}", generation=3)
-    state.attribute(1, "improved")
     state.observe(4, 5.0)
     clone = PromptState.from_dict(state.to_dict())
     assert clone.current_id == state.current_id
     assert clone.versions[1].text == "new prompt {parent-source}"
-    assert clone.versions[1].outcomes == {"improved": 1}
     assert clone.history == state.history
 
 
