@@ -26,7 +26,7 @@ import tempfile
 import threading
 import time
 import weakref
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
@@ -258,8 +258,11 @@ def _document(instance: Instance) -> bytes:
 
 def _execute(
     candidate: Candidate, instance: Instance, cfg: RunnerConfig
-) -> str | tuple[str, str]:
+) -> str | tuple[str | None, str]:
     """Run the candidate once: its stdout, or (failure_class, diagnostic).
+
+    The failure class is None when the helper died or stopped answering before
+    it reported the exit code, whichever candidate brought that about.
 
     The candidate is forked from the helper and leads its own session. The
     session is killed on every way out of here, and the helper kills what
@@ -324,7 +327,7 @@ def _execute(
     if timed_out:
         return FAIL_TIMEOUT, "process terminated at timeout; " + errors
     if code is None:
-        return FAIL_START, errors or "the forkserver lost the candidate's exit status"
+        return None, errors or "the forkserver lost the candidate's exit status"
     if code != 0:
         return FAIL_START, errors or f"exit code {code}"
     return out.decode(errors="replace")
@@ -364,50 +367,72 @@ def _failed(instance: Instance, failure_class: str, diagnostic: str) -> Instance
 def run_candidate(
     candidate: Candidate, instance: Instance, cfg: RunnerConfig
 ) -> InstanceOutcome:
-    """Execute one candidate on one instance and judge the result."""
+    """Execute one candidate on one instance and judge the result.
+
+    A helper killed under the candidate, by it or by another candidate in
+    flight, takes the exit status with it: the run is repeated once on the
+    new helper, and a second loss is a start failure.
+    """
     result = _execute(candidate, instance, cfg)
+    if isinstance(result, tuple) and result[0] is None:
+        result = _execute(candidate, instance, cfg)
     if isinstance(result, tuple):
-        return _failed(instance, *result)
+        return _failed(instance, result[0] or FAIL_START, result[1])
     return _judge(result, instance)
 
 
-def evaluate_candidate(
-    candidate: Candidate, instance_set: InstanceSet, cfg: RunnerConfig
-) -> EvalReport:
-    """Run a candidate over all instances; score it only if all are valid.
+def start_evaluation(
+    candidate: Candidate, instance_set: InstanceSet, cfg: RunnerConfig, pool: Executor
+) -> list[Future[InstanceOutcome]]:
+    """Queue one ``run_candidate`` per instance on ``pool``, in instance order.
 
-    Missing optima are a configuration error detected before any process
-    starts. Instances may run in parallel (cfg.workers) but records are
-    assembled in instance order and the first failure in that order
-    dominates the report's failure class.
+    Missing optima are a configuration error raised before anything is
+    queued. The per-candidate budget (cfg.total_timeout_s) counts from the
+    start of the candidate's first run, not from when it was queued.
     """
     missing = [inst.name for inst in instance_set if inst.known_optimal is None]
     if missing:
         raise MissingOptimumError(f"instances without a known optimum: {', '.join(missing)}")
-
-    deadline = (
-        time.monotonic() + cfg.total_timeout_s if cfg.total_timeout_s is not None else None
-    )
+    started: list[float] = []  # when each run began; the budget counts from the first
 
     def run_one(instance: Instance) -> InstanceOutcome:
-        if deadline is not None:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return InstanceOutcome(
-                    instance_name=instance.name,
-                    failure_class=FAIL_TIMEOUT,
-                    diagnostic="per-candidate budget exhausted before start",
-                )
-            local = replace(cfg, timeout_s=min(cfg.timeout_s, remaining))
-            return run_candidate(candidate, instance, local)
-        return run_candidate(candidate, instance, cfg)
+        if cfg.total_timeout_s is None:
+            return run_candidate(candidate, instance, cfg)
+        started.append(time.monotonic())
+        remaining = started[0] + cfg.total_timeout_s - time.monotonic()
+        if remaining <= 0:
+            return InstanceOutcome(
+                instance_name=instance.name,
+                failure_class=FAIL_TIMEOUT,
+                diagnostic="per-candidate budget exhausted before start",
+            )
+        local = replace(cfg, timeout_s=min(cfg.timeout_s, remaining))
+        return run_candidate(candidate, instance, local)
 
-    instances = list(instance_set)
-    if cfg.workers > 1 and len(instances) > 1:
-        with ThreadPoolExecutor(max_workers=min(cfg.workers, len(instances))) as pool:
-            records = list(pool.map(run_one, instances))
+    return [pool.submit(run_one, inst) for inst in instance_set]
+
+
+def evaluate_candidate(
+    candidate: Candidate,
+    instance_set: InstanceSet,
+    cfg: RunnerConfig,
+    runs: list[Future[InstanceOutcome]] | None = None,
+) -> EvalReport:
+    """Run a candidate over all instances; score it only if all are valid.
+
+    ``runs`` are the runs ``start_evaluation`` queued for the candidate;
+    without them, they are queued here on a pool of cfg.workers threads.
+    Either way this call waits for them. Records are in instance order and
+    the first failure in that order dominates the report's failure class.
+    """
+    if runs is not None:
+        records = [run.result() for run in runs]
     else:
-        records = [run_one(inst) for inst in instances]
+        pool = ThreadPoolExecutor(max_workers=cfg.workers)
+        try:
+            records = [run.result() for run in start_evaluation(candidate, instance_set, cfg, pool)]
+        finally:
+            pool.shutdown(cancel_futures=True)
 
     report = EvalReport(candidate_id=candidate.id, records=records)
     failures = [r for r in records if not r.valid]

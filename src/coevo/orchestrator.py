@@ -3,10 +3,14 @@
 Each generation, every island selects a parent from its archive, samples a
 mutation strategy from experience, composes a prompt, asks the LLM for an
 offspring, evaluates it in a sandboxed subprocess, records the outcome,
-and archives it if scored. The prompt then evolves from the generation's
-experience and islands exchange elites on the migration schedule. With the
-mock backend and a fixed seed the whole run is reproducible bit for bit,
-and every generation is checkpointed for exact resume.
+and archives it if scored. Islands plan from the experience as it stood at
+the start of the generation, one after another, and each island's
+evaluation runs on the generation's pool while the next island waits on
+its LLM call; outcomes are then applied in island order. The prompt then
+evolves from the generation's experience and islands exchange elites on the
+migration schedule. With the mock backend and a fixed seed the whole run is
+reproducible bit for bit, and every generation is checkpointed for exact
+resume.
 
 A run directory holds four append-only journals: ``sources.jsonl`` (each
 distinct candidate source once, as a JSON string), ``candidates.jsonl`` (one
@@ -29,6 +33,7 @@ import re
 import time
 import typing
 from collections import Counter, defaultdict
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,12 +41,13 @@ from . import archive as arch
 from .archive import EvolutionState, LogEntry, MigrationConfig, descriptor
 from .codec import EXPECTED, decode
 from .errors import ConfigError, EmptyResponseError, LlmError
-from .evaluator import Candidate, RunnerConfig, evaluate_candidate
+from .evaluator import Candidate, RunnerConfig, evaluate_candidate, start_evaluation
 from .experience import (
     JOURNAL as EXPERIENCE_JOURNAL,
     OUTCOME_FAILURE,
     ExperienceRecord,
     ExperienceStore,
+    ExperienceSummary,
     make_outcome,
     strategy_stats,
     summarize,
@@ -373,11 +379,22 @@ class EvolutionRun:
         self._write_checkpoint()
         return self.state
 
-    def _evolve_island(self, island_idx: int, generation: int) -> None:
-        """One offspring attempt: evaluated, admitted and recorded, or skipped with an event."""
+    def _plan(
+        self,
+        island_idx: int,
+        generation: int,
+        stats: dict[str, float],
+        summary: ExperienceSummary,
+        pool: Executor,
+    ) -> tuple[Candidate, list[Future]] | None:
+        """Ask the LLM for one island's offspring and queue its evaluation on ``pool``.
+
+        ``stats`` and ``summary`` are the experience at the start of the
+        generation. None, with an event where there is one, when nothing came back.
+        """
         island = self.state.islands[island_idx]
         if not island.cells:
-            return
+            return None
         pstate = self._prompt_for(island_idx)
 
         repair_id = self.pending_repair.pop(island_idx, None)
@@ -396,23 +413,19 @@ class EvolutionRun:
                 island, self.state.rng, epsilon, self.state.candidates
             )
             strategy = sample_strategy(
-                strategy_stats(self.experience),
-                temperature=self.config.strategy_temperature,
-                rng=self.state.rng,
+                stats, temperature=self.config.strategy_temperature, rng=self.state.rng
             )
             strategy_name = strategy.name
 
-        summary = summarize(self.experience, self.config.experience_window)
         prompt = compose_prompt(pstate, strategy, parent, summary, failure)
-
         text = self._complete(prompt, "generate", generation)
         if text is None:
-            return
+            return None
         try:
             source = extract_code(text)
         except EmptyResponseError:
             self.events.append(f"gen {generation}: island {island_idx} empty completion")
-            return
+            return None
 
         child = Candidate(
             id=self._next_id(),
@@ -422,24 +435,33 @@ class EvolutionRun:
             generation=generation,
             strategy_used=strategy_name,
         )
-        report = evaluate_candidate(child, self.instances, self.runner_cfg)
+        return child, start_evaluation(child, self.instances, self.runner_cfg, pool)
+
+    def _apply(self, child: Candidate, runs: list[Future]) -> None:
+        """Wait for a planned offspring's evaluation; admit and record it.
+
+        The wait is inside ``evaluate_candidate``, so a tracer that times that
+        call sees this thread's waiting as evaluation.
+        """
+        report = evaluate_candidate(child, self.instances, self.runner_cfg, runs)
         self._admit(child)
+        parent = self.state.candidates[child.parent_id]
 
         error = report.mean_relative_error
         if error is None:
             outcome, delta = OUTCOME_FAILURE, None
             if self.config.repair_failed_offspring:
-                self.pending_repair[island_idx] = child.id
+                self.pending_repair[child.island] = child.id
         else:
             parent_error = error if parent.performance is None else -parent.performance
             outcome, delta = make_outcome(parent_error, error)
         self.experience.record(ExperienceRecord(
-            generation=generation,
-            island=island_idx,
-            parent_id=parent.id,
+            generation=child.generation,
+            island=child.island,
+            parent_id=child.parent_id,
             child_id=child.id,
-            strategy_used=strategy_name,
-            prompt_version=pstate.current_id,
+            strategy_used=child.strategy_used,
+            prompt_version=self._prompt_for(child.island).current_id,
             outcome=outcome,
             delta=delta,
             child_error=error,
@@ -458,8 +480,17 @@ class EvolutionRun:
             island_ids = [isl.island_id for isl in self.state.islands]
 
         best_before = self.state.best_so_far.performance
-        for island_idx in island_ids:
-            self._evolve_island(island_idx, generation)
+        stats = strategy_stats(self.experience)
+        summary = summarize(self.experience, self.config.experience_window)
+        # LLM calls stay on this thread, in island order, so a scripted mock
+        # answers each island the same way on every run
+        pool = ThreadPoolExecutor(max_workers=self.config.parallelism)
+        try:
+            planned = [self._plan(i, generation, stats, summary, pool) for i in island_ids]
+            for offspring in filter(None, planned):
+                self._apply(*offspring)
+        finally:
+            pool.shutdown(cancel_futures=True)  # if planning raised, what it queued never runs
 
         self.state.generation = generation
         improved = self.state.best_so_far.performance > best_before

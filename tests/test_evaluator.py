@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,7 @@ from coevo.evaluator import (
     evaluate_candidate,
     instance_document,
     run_candidate,
+    start_evaluation,
 )
 from coevo.heuristics import (
     christofides,
@@ -311,6 +313,27 @@ def test_helper_killed_during_evaluation_is_classified(unit_square):
     assert run_candidate(candidate, inst, FAST).valid
 
 
+def test_bystander_of_a_helper_killer_is_scored(unit_square):
+    # two candidates in flight on one pool; the killer takes the helper, and the
+    # bystander's exit status with it, so the bystander is run once more
+    iset = make_set(dataclasses.replace(unit_square, known_optimal=4.0))
+    bystander = Candidate(id="bystander", source=(
+        "import time\ntime.sleep(1.0)\nprint('{\"tour\": [0, 1, 2, 3]}')\n"
+    ))
+    killer = Candidate(id="regicide", source=(
+        "import os, signal, time\n"
+        "time.sleep(0.1)\n"
+        f"if os.getppid() != {os.getpid()}:  # never the test process itself\n"
+        "    os.kill(os.getppid(), signal.SIGKILL)\n"
+    ))
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        runs = {c.id: start_evaluation(c, iset, FAST, pool) for c in (bystander, killer)}
+        report = evaluate_candidate(bystander, iset, FAST, runs["bystander"])
+        evaluate_candidate(killer, iset, FAST, runs["regicide"])
+    assert report.mean_relative_error == 0.0, report.diagnostic
+    assert killer.performance is None
+
+
 def test_hash_seed_is_the_same_in_every_helper(unit_square):
     inst = dataclasses.replace(unit_square, known_optimal=4.0)
     first, first_hash = _helper_pid_and_hash(inst)
@@ -526,6 +549,22 @@ def test_total_budget_knob(unit_square, trap4):
     report = evaluate_candidate(sleeper, iset, cfg)
     assert report.mean_relative_error is None
     assert report.failure_class == FAIL_TIMEOUT
+
+
+def test_total_budget_starts_at_the_first_run_not_in_the_queue(unit_square):
+    # one worker: the budgeted candidate waits 0.7 s behind another evaluation,
+    # then runs for 0.5 s of its 1.0 s budget
+    iset = make_set(dataclasses.replace(unit_square, known_optimal=4.0))
+    tour = "print('{\"tour\": [0, 1, 2, 3]}')\n"
+    ahead = Candidate(id="ahead", source="import time\ntime.sleep(0.7)\n" + tour)
+    queued = Candidate(id="queued", source="import time\ntime.sleep(0.5)\n" + tour)
+    budgeted = RunnerConfig(timeout_s=30.0, total_timeout_s=1.0)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        first = start_evaluation(ahead, iset, FAST, pool)
+        second = start_evaluation(queued, iset, budgeted, pool)
+        evaluate_candidate(ahead, iset, FAST, first)
+        report = evaluate_candidate(queued, iset, budgeted, second)
+    assert report.mean_relative_error == 0.0, report.diagnostic
 
 
 def test_performance_ordering_equals_error_ordering():

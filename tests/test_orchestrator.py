@@ -4,6 +4,8 @@ import json
 import os
 import random
 import shutil
+import sys
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -18,9 +20,10 @@ from conftest import (
     write_mock_script,
     write_tsp_file,
 )
-from coevo import oracles, orchestrator
+from coevo import archive, evaluator, oracles, orchestrator
 from coevo.errors import ConfigError
 from coevo.evaluator import FAIL_START
+from coevo.experience import render_summary, summarize
 from coevo.instances import load_benchmark
 from coevo.llm import MockBackend
 from coevo.orchestrator import JOURNALS, EvolutionRun, RunConfig, resume
@@ -716,6 +719,151 @@ def test_repair_prompt_after_resume_carries_the_failure(tmp_path):
     assert resumed.prompts == full.prompts[2:]
     assert (report_without_wall(tmp_path / "resumed" / "report.json")
             == report_without_wall(tmp_path / "full" / "report.json"))
+
+
+# --- one generation: LLM calls in island order, evaluations on one pool ------------
+
+
+def test_an_island_evaluates_while_the_next_waits_on_its_llm_call(tmp_path, monkeypatch):
+    # island 0's runs wait for island 1's generate request; a loop that awaited
+    # each island's evaluation before the next island's LLM call would time out
+    asked = threading.Event()
+
+    class SignallingBackend(MockBackend):
+        calls = 0
+
+        def complete_once(self, request):
+            if request.tag == "generate":
+                self.calls += 1
+                if self.calls == 2:
+                    asked.set()
+            return super().complete_once(request)
+
+    real = evaluator.run_candidate
+
+    def run_candidate(candidate, instance, cfg):
+        if candidate.island == 0 and not asked.wait(10):
+            raise AssertionError("island 1 was not asked while island 0 was evaluated")
+        return real(candidate, instance, cfg)
+
+    script = write_mock_script(tmp_path / "s.jsonl", generate=[fenced(NN)] * 2, evolve=["m"])
+    cfg = config_for(tmp_path, script, iterations=1, islands=2)
+    run = EvolutionRun(cfg, backend=SignallingBackend.from_file(script))
+    run.init_population()
+    monkeypatch.setattr(evaluator, "run_candidate", run_candidate)
+    run.step()
+    assert [r.outcome for r in run.experience.records] == ["no-improvement"] * 2
+
+
+def test_outcomes_apply_in_island_order_when_a_later_island_finishes_first(tmp_path, monkeypatch):
+    finished: list[str] = []
+    island1_done = threading.Event()
+    real = evaluator.run_candidate
+
+    def run_candidate(candidate, instance, cfg):
+        if candidate.island == 0 and not island1_done.wait(10):
+            raise AssertionError("island 1's evaluation did not finish")
+        outcome = real(candidate, instance, cfg)
+        finished.append(candidate.id)
+        if finished.count(candidate.id) == 2 and candidate.island == 1:  # both instances
+            island1_done.set()
+        return outcome
+
+    inserted: list[str] = []
+    insert = archive.IslandArchive.insert
+
+    def recording_insert(self, candidate, generation=0):
+        inserted.append(candidate.id)
+        return insert(self, candidate, generation)
+
+    generate = [fenced(NN), fenced(TWO_OPT)]
+    script = write_mock_script(tmp_path / "s.jsonl", generate=generate, evolve=["m"])
+    cfg = config_for(tmp_path, script, iterations=1, islands=2, parallelism=4)
+    run = EvolutionRun(cfg)
+    run.init_population()
+    seeds = list(run.state.candidates)
+    monkeypatch.setattr(evaluator, "run_candidate", run_candidate)
+    monkeypatch.setattr(archive.IslandArchive, "insert", recording_insert)
+    run.step()
+    children = [cid for cid in run.state.candidates if cid not in seeds]
+    assert finished[:2] == [children[1]] * 2  # island 1's evaluation finished first
+    assert [run.state.candidates[cid].island for cid in children] == [0, 1]
+    assert children == sorted(children)
+    assert [(r.island, r.child_id) for r in run.experience.records] == list(enumerate(children))
+    assert inserted == children
+    assert [r.outcome for r in run.experience.records] == ["no-improvement", "improved"]
+
+
+def test_every_prompt_of_a_generation_renders_the_same_summary(tmp_path):
+    generate = [fenced(NN), BROKEN, fenced(TWO_OPT)] * 3
+    script = write_mock_script(tmp_path / "s.jsonl", generate=generate, evolve=["m"] * 3)
+    cfg = config_for(tmp_path, script, iterations=3, islands=3)
+    backend = RecordingBackend.from_file(script)
+    run = EvolutionRun(cfg, backend=backend)
+    run.init_population()
+    rendered = []
+    for _ in range(cfg.iterations):
+        rendered.append(render_summary(summarize(run.experience, cfg.experience_window)))
+        asked = len(backend.prompts)
+        run.step()
+        prompts = backend.prompts[asked:]
+        assert len(prompts) == cfg.islands
+        assert all(rendered[-1] in prompt for prompt in prompts)
+    assert len(set(rendered)) == cfg.iterations  # each generation saw new experience
+
+
+def test_the_run_does_not_depend_on_parallelism(tmp_path):
+    # more pool threads than cores, switching threads as often as the interpreter can
+    generate = [fenced(NN), BROKEN, fenced(TWO_OPT), fenced(NN), BROKEN] * 2
+    script = write_mock_script(tmp_path / "s.jsonl", generate=generate, evolve=["m"] * 2)
+    reports = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for parallelism in (1, 8):
+            cfg = config_for(tmp_path, script, iterations=2, islands=5, parallelism=parallelism)
+            out = tmp_path / f"p{parallelism}"
+            EvolutionRun(cfg, out_dir=out).run()
+            journals = [(out / name).read_bytes() for name in JOURNALS]
+            reports.append((report_without_wall(out / "report.json"), journals))
+    finally:
+        sys.setswitchinterval(interval)
+    assert reports[0] == reports[1]
+
+
+def test_a_failed_plan_cancels_the_queued_evaluations(tmp_path, monkeypatch):
+    # island 0's first run is in flight and its second queued when island 1's
+    # LLM call raises: step() waits for the first and cancels the second
+    started, release = threading.Event(), threading.Event()
+    calls: list[str] = []
+
+    class FailingBackend(MockBackend):
+        asked = 0
+
+        def complete_once(self, request):
+            if request.tag == "generate":
+                self.asked += 1
+                if self.asked == 2:
+                    assert started.wait(10)
+                    release.set()
+                    raise RuntimeError("backend broke")
+            return super().complete_once(request)
+
+    def run_candidate(candidate, instance, cfg):
+        calls.append(instance.name)
+        started.set()
+        release.wait(10)
+        return evaluator.InstanceOutcome(instance.name, failure_class=FAIL_START)
+
+    script = write_mock_script(tmp_path / "s.jsonl", generate=[fenced(NN)] * 2, evolve=["m"])
+    cfg = config_for(tmp_path, script, iterations=1, islands=2, parallelism=1)
+    run = EvolutionRun(cfg, backend=FailingBackend.from_file(script))
+    run.init_population()
+    monkeypatch.setattr(evaluator, "run_candidate", run_candidate)
+    with pytest.raises(RuntimeError, match="backend broke"):
+        run.step()
+    assert calls == ["square"]  # trap4's run never started
+    assert not [t for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor")]
 
 
 FFD_NOVEL = """\
