@@ -43,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute a configured evolution run")
     p_run.add_argument("--config", default=None,
-                       help="flat key=value run config file (not needed with --resume)")
+                       help="flat key=value run config file (refused with --resume)")
     p_run.add_argument("--out", required=True, help="output directory for reports/checkpoints")
     p_run.add_argument("--seed", type=int, default=None, help="override rng seed")
     p_run.add_argument("--backend", choices=("mock", "live"), default=None)
@@ -83,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def cmd_run(args) -> int:
     if args.resume:
-        for flag in ("seed", "backend", "mock_script"):
+        for flag in ("config", "seed", "backend", "mock_script"):
             if getattr(args, flag) is not None:
                 raise ConfigError(f"--{flag.replace('_', '-')} cannot change a resumed run")
         report = resume(args.resume, out_dir=args.out)

@@ -12,13 +12,14 @@ migration schedule. With the mock backend and a fixed seed the whole run is
 reproducible bit for bit, and every generation is checkpointed for exact
 resume.
 
-A run directory holds four append-only journals: ``sources.jsonl`` (each
+A run directory holds six append-only journals: ``sources.jsonl`` (each
 distinct candidate source once, as a JSON string), ``candidates.jsonl`` (one
 line per registered candidate, its source given by the sha256 of its bytes),
-``archive.jsonl`` (one line per archive-log entry) and ``experience.jsonl``.
-A checkpoint, ``checkpoints/gen-NNNN.json``, holds the rest of the run's
-state and, for each journal, how many of its bytes it counts and their
-sha256, so its size does not grow with the run.
+``archive.jsonl`` (one line per archive-log entry), ``experience.jsonl``,
+``prompts.jsonl`` (one line per prompt version) and ``events.jsonl`` (one
+JSON string per event). A checkpoint, ``checkpoints/gen-NNNN.json``, holds
+the rest of the run's state and, for each journal, how many of its bytes it
+counts and their sha256, so its size does not grow with the run.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .llm import Backend, CompletionRequest, HttpBackend, MockBackend, complete,
 from .oracles import ensure_optima
 from .promptevo import (
     PromptState,
+    PromptVersion,
     compose_prompt,
     evolve_prompt,
     sample_strategy,
@@ -64,18 +66,21 @@ from .promptevo import (
 )
 from .seeds import SEEDS, seed_source
 
-CHECKPOINT_VERSION = 8
+CHECKPOINT_VERSION = 9
 REPORT_VERSION = 1
 SOURCE_JOURNAL = "sources.jsonl"
 CANDIDATE_JOURNAL = "candidates.jsonl"
 ARCHIVE_JOURNAL = "archive.jsonl"
-JOURNALS = (SOURCE_JOURNAL, CANDIDATE_JOURNAL, ARCHIVE_JOURNAL, EXPERIENCE_JOURNAL)
+PROMPT_JOURNAL = "prompts.jsonl"
+EVENT_JOURNAL = "events.jsonl"
+JOURNALS = (SOURCE_JOURNAL, CANDIDATE_JOURNAL, ARCHIVE_JOURNAL, EXPERIENCE_JOURNAL,
+            PROMPT_JOURNAL, EVENT_JOURNAL)
 # EvolutionRun attributes a checkpoint holds besides the state, prompts,
 # journal marks and llm cursors it rebuilds, with their JSON types.
 # "optima" maps oracles.instance_key to the optimum the run's oracle found.
 COUNTERS = {
-    "base_errors": dict[str, float], "events": list[str], "llm_calls": int,
-    "next_seq": int, "optima": dict[str, float], "pending_repair": dict[str, str],
+    "base_errors": dict[str, float], "llm_calls": int, "next_seq": int,
+    "optima": dict[str, float], "pending_repair": dict[str, str],
 }
 _SHA256_HEX = re.compile(r"[0-9a-f]{64}")
 
@@ -306,10 +311,12 @@ class EvolutionRun:
         self.next_seq = 0
         self.pending_repair: dict[int, str] = {}
         # What the out directory already holds: the journals, opened by the first
-        # checkpoint or by a resume, each journaled source's sha256, and each island's log.
+        # checkpoint or by a resume, each journaled source's sha256, each island's
+        # log and each prompt state's versions.
         self._journals: dict[str, Journal] | None = None
         self._stored: set[str] = set()
         self._logged = [0] * config.islands
+        self._versioned = [0] * n_prompts
 
     # -- id and prompt helpers ------------------------------------------
 
@@ -500,24 +507,17 @@ class EvolutionRun:
         evolve_now = generation % self.config.prompt_update_interval == 0
         summary = summarize(self.experience, self.config.experience_window)
         for pstate in self.prompts:
-            pstate.observe(generation, best_error)
+            reverted = pstate.observe(generation, best_error)
+            if reverted:
+                self.events.append(reverted)
             if not evolve_now:
                 continue
             if self.config.llm_call_cap is not None and self.llm_calls >= self.config.llm_call_cap:
                 self.events.append(f"gen {generation}: llm call cap reached; prompt kept")
                 continue
             self.llm_calls += 1
-            evolve_prompt(
-                pstate,
-                summary,
-                self.backend,
-                generation,
-                request_defaults={
-                    "temperature": self.config.temperature,
-                    "top_p": self.config.top_p,
-                    "max_tokens": self.config.max_tokens,
-                    "model": self.config.model,
-                },
+            self.events.append(
+                evolve_prompt(pstate, summary, self.backend, generation, self._request)
             )
 
         if (
@@ -581,7 +581,7 @@ class EvolutionRun:
                 entry = {
                     "id": v.id,
                     "created_at_generation": v.created_at_generation,
-                    "discarded": v.discarded,
+                    "discarded": v.id in pstate.discarded,
                     "outcomes": dict(sorted(outcomes[i, v.id].items())),
                 }
                 if self.config.per_island_prompts:
@@ -622,7 +622,9 @@ class EvolutionRun:
             "version": CHECKPOINT_VERSION,
             "config": self.config.to_dict(),
             "state": self.state.to_dict(),
-            "prompts": [p.to_dict() for p in self.prompts],
+            # prompts.jsonl holds the versions
+            "prompts": [dataclasses.asdict(dataclasses.replace(p, versions=[]))
+                        for p in self.prompts],
             "llm_state": llm_state,
             "counters": counters,
             "journals": {name: journal.mark() for name, journal in self._journals.items()},
@@ -632,7 +634,8 @@ class EvolutionRun:
         """Journal what the run registered, logged and recorded since the last call; sync it."""
         if self._journals is None:  # a fresh run
             self._journals = {name: Journal(self.out / name) for name in JOURNALS}
-        sources, candidates, archive, experience = (self._journals[name] for name in JOURNALS)
+        sources, candidates, archive, experience, prompts, events = (
+            self._journals[name] for name in JOURNALS)
         new_sources, lines = [], []
         for c in itertools.islice(self.state.candidates.values(), candidates.lines, None):
             digest = _source_sha256(c.source)
@@ -648,6 +651,11 @@ class EvolutionRun:
         self._logged = [len(isl.log) for isl in islands]
         records = self.experience.records[experience.lines:]
         experience.append([dataclasses.asdict(r) for r in records])
+        prompts.append([{"prompt": i, **dataclasses.asdict(v)}
+                        for i, (p, done) in enumerate(zip(self.prompts, self._versioned))
+                        for v in p.versions[done:]])
+        self._versioned = [len(p.versions) for p in self.prompts]
+        events.append(self.events[events.lines:])
 
     def _write_checkpoint(self) -> None:
         """Sync the journals first, so a checkpoint never counts bytes a crash could lose."""
@@ -706,8 +714,18 @@ class EvolutionRun:
             n_prompts = config.islands if config.per_island_prompts else 1
             if len(prompts) != n_prompts:
                 raise ConfigError(f"prompts holds {len(prompts)} states, expected {n_prompts}")
+            lines = _decode_lines(JournaledVersion, PROMPT_JOURNAL, prefixes[PROMPT_JOURNAL])
+            for i, v in enumerate(lines, start=1):
+                if not 0 <= v.prompt < n_prompts:
+                    raise ConfigError(f"{PROMPT_JOURNAL} line {i}: the run has no prompt "
+                                      f"{v.prompt}")
+                held = prompts[v.prompt].versions
+                if v.id != len(held):
+                    raise ConfigError(f"{PROMPT_JOURNAL} line {i}: version {v.id} of prompt "
+                                      f"{v.prompt} is out of sequence, expected {len(held)}")
+                held.append(PromptVersion(v.id, v.text, v.created_at_generation))
             for i, pstate in enumerate(prompts):
-                named = [pstate.current_id]
+                named = [pstate.current_id, *pstate.discarded]
                 if pstate.watch is not None:
                     named += [pstate.watch.prior_id, pstate.watch.new_id]
                 if not all(0 <= v < len(pstate.versions) for v in named):
@@ -725,6 +743,7 @@ class EvolutionRun:
                 if not 0 <= r.prompt_version < len(held):
                     raise ConfigError(f"{EXPERIENCE_JOURNAL} line {i}: prompt version "
                                       f"{r.prompt_version} is not held")
+            events = _decode_lines(str, EVENT_JOURNAL, prefixes[EVENT_JOURNAL])
             llm_state = decode(dict[str, int], doc["llm_state"], "llm_state")
             counters = {name: decode(kind, doc["counters"][name], f"counters/{name}")
                         for name, kind in COUNTERS.items()}
@@ -750,7 +769,7 @@ class EvolutionRun:
             except ValueError as exc:
                 raise ConfigError(f"malformed checkpoint {path}: llm_state: {exc}") from None
         run = cls(config, out_dir=out_dir, backend=backend, optima=counters.pop("optima"))
-        run.state, run.prompts, run.experience = state, prompts, experience
+        run.state, run.prompts, run.experience, run.events = state, prompts, experience, events
         for name, value in counters.items():
             setattr(run, name, value)
         if run.out is not None:
@@ -764,6 +783,7 @@ class EvolutionRun:
         self._stored.update(sources)
         self._journals = {name: Journal(self.out / name, data) for name, data in prefixes.items()}
         self._logged = [len(isl.log) for isl in self.state.islands]
+        self._versioned = [len(p.versions) for p in self.prompts]
 
 
 def resume(checkpoint: str | Path, out_dir: str | Path | None = None,
@@ -788,6 +808,11 @@ def write_atomic(path: Path, text: str | bytes) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+@dataclass
+class JournaledVersion(PromptVersion):  # one line of prompts.jsonl
+    prompt: int  # the index of the prompt state in EvolutionRun.prompts
 
 
 @dataclass

@@ -12,10 +12,10 @@ import functools
 import math
 import random
 import re
-from dataclasses import asdict, dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from importlib import resources
 
-from .codec import decode
 from .errors import LlmError
 from .evaluator import Candidate
 from .experience import ExperienceRecord, ExperienceSummary, render_summary
@@ -83,13 +83,6 @@ def strategy_pool() -> tuple[Strategy, ...]:
     return _POOL
 
 
-def get_strategy(name: str) -> Strategy:
-    for s in _POOL:
-        if s.name == name:
-            return s
-    raise KeyError(f"unknown strategy {name!r}")
-
-
 def sample_strategy(
     stats: dict[str, float], temperature: float = 1.0, rng: random.Random | None = None
 ) -> Strategy:
@@ -120,7 +113,6 @@ class PromptVersion:
     id: int
     text: str
     created_at_generation: int
-    discarded: bool = False
 
 
 @dataclass
@@ -135,12 +127,12 @@ class Watch:
 
 @dataclass
 class PromptState:
-    """Append-only version history with a revert watchdog."""
+    """Immutable versions, the ids of those reverted, and a revert watchdog."""
 
     task: str  # "tsp" | "bpp"
     versions: list[PromptVersion] = field(default_factory=list)
     current_id: int = 0
-    events: list[str] = field(default_factory=list)
+    discarded: list[int] = field(default_factory=list)
     history: list[tuple[int, float]] = field(default_factory=list)  # (generation, best error)
     watch: Watch | None = None
 
@@ -155,8 +147,8 @@ class PromptState:
     def current(self) -> PromptVersion:
         return self.versions[self.current_id]
 
-    def adopt(self, text: str, generation: int) -> PromptVersion:
-        """Append a new version, switch to it, and arm the revert watchdog."""
+    def adopt(self, text: str, generation: int) -> str:
+        """Append a new version, switch to it, and arm the revert watchdog; the event."""
         prior_id = self.current_id
         version = PromptVersion(len(self.versions), text, generation)
         self.versions.append(version)
@@ -164,43 +156,29 @@ class PromptState:
         recent = [err for _, err in self.history[-BASELINE_SPAN:]]
         baseline = sum(recent) / len(recent) if recent else math.inf
         self.watch = Watch(generation, prior_id, version.id, baseline)
-        self.events.append(f"gen {generation}: adopted version {version.id}")
-        return version
+        return f"gen {generation}: adopted version {version.id}"
 
-    def observe(self, generation: int, best_error: float) -> bool:
-        """Record a generation's best error; True when a revert fired.
+    def observe(self, generation: int, best_error: float) -> str | None:
+        """Record a generation's best error; the event when a revert fired.
 
         A switch is judged on the two generations after it: if neither
         strictly beats the pre-switch moving-average baseline, the switch
         is reverted. A newer switch supersedes the watchdog.
         """
         self.history.append((generation, best_error))
+        del self.history[:-BASELINE_SPAN]  # all the watchdog reads: REVERT_PROBATION <= it
         if self.watch is None:
-            return False
+            return None
         post = [err for g, err in self.history if g > self.watch.switch_generation]
         if len(post) < REVERT_PROBATION:
-            return False
-        baseline = self.watch.baseline
-        if all(err >= baseline for err in post[:REVERT_PROBATION]):
-            new_id = self.watch.new_id
-            prior_id = self.watch.prior_id
-            self.versions[new_id].discarded = True
-            self.current_id = prior_id
-            self.events.append(
-                f"gen {generation}: reverted version {new_id} to {prior_id} "
-                f"(no improvement over baseline {baseline:.4f})"
-            )
-            self.watch = None
-            return True
-        self.watch = None
-        return False
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PromptState":
-        return decode(cls, d, "prompt")
+            return None
+        watch, self.watch = self.watch, None
+        if not all(err >= watch.baseline for err in post[:REVERT_PROBATION]):
+            return None
+        self.discarded.append(watch.new_id)
+        self.current_id = watch.prior_id
+        return (f"gen {generation}: reverted version {watch.new_id} to {watch.prior_id} "
+                f"(no improvement over baseline {watch.baseline:.4f})")
 
 
 _PLACEHOLDER = re.compile(
@@ -266,17 +244,22 @@ def compose_prompt(
     return text
 
 
+def _plain_request(prompt: str, tag: str) -> CompletionRequest:
+    return CompletionRequest(messages=(("user", prompt),), tag=tag)
+
+
 def evolve_prompt(
     state: PromptState,
     summary: ExperienceSummary,
     backend: Backend,
     generation: int,
-    request_defaults: dict | None = None,
-) -> bool:
-    """One meta-evolution round trip; True when a new version was adopted.
+    request: Callable[[str, str], CompletionRequest] = _plain_request,
+) -> str:
+    """One meta-evolution round trip; the event it gives.
 
-    Transport failures leave the current version in place and only log the
-    event — the evolution loop continues.
+    ``request(prompt, tag)`` builds the completion request. Transport
+    failures leave the current version in place — the evolution loop
+    continues.
     """
     values = {
         "current-prompt": state.current().text,
@@ -288,20 +271,11 @@ def evolve_prompt(
         lambda m: values[m.group(1)],
         _load_template("meta"),
     )
-    defaults = request_defaults or {}
-    request = CompletionRequest(
-        messages=(("user", meta),),
-        tag="prompt-evolve",
-        **defaults,
-    )
     try:
-        response = complete(backend, request)
+        response = complete(backend, request(meta, "prompt-evolve"))
     except LlmError as exc:
-        state.events.append(f"gen {generation}: prompt evolution failed ({exc}); version kept")
-        return False
+        return f"gen {generation}: prompt evolution failed ({exc}); version kept"
     text = response.text.strip()
     if not text:
-        state.events.append(f"gen {generation}: prompt evolution returned empty text; version kept")
-        return False
-    state.adopt(text, generation)
-    return True
+        return f"gen {generation}: prompt evolution returned empty text; version kept"
+    return state.adopt(text, generation)

@@ -366,6 +366,10 @@ def test_cmd_run_resume_malformed_checkpoint_exit_1(tmp_path, capsys):
         "no-prompts": edited(lambda d: d.update(prompts=[])),
         "unknown-version": edited(lambda d: d["prompts"][0].update(current_id=99)),
         "no-such-island": journal("archive.jsonl", 0, lambda r: r.update(island=2)),
+        "no-such-prompt": journal("prompts.jsonl", 1, lambda v: v.update(prompt=1)),
+        "version-out-of-sequence": journal("prompts.jsonl", 1, lambda v: v.update(id=2)),
+        "unheld-discard": edited(lambda d: d["prompts"][0].update(discarded=[2])),
+        "event-not-a-string": journal("events.jsonl", 0, lambda e: 7),
         "negative-cursor": edited(lambda d: d["llm_state"].update(generate=-1)),
         "cursor-past-script": edited(lambda d: d["llm_state"].update(generate=3)),
         "unknown-cursor-key": edited(lambda d: d["llm_state"].update(bogus=0)),
@@ -406,7 +410,8 @@ def test_cmd_run_resume_refuses_run_flags(tmp_path, capsys):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "full")]) == 0
     checkpoint = tmp_path / "full" / "checkpoints" / "gen-0000.json"
     capsys.readouterr()
-    for flag, value in (("--seed", "3"), ("--backend", "mock"), ("--mock-script", str(script))):
+    for flag, value in (("--config", str(cfg)), ("--seed", "3"), ("--backend", "mock"),
+                        ("--mock-script", str(script))):
         out = tmp_path / flag.strip("-")
         assert main(["run", "--resume", str(checkpoint), "--out", str(out), flag, value]) == 1
         err = capsys.readouterr().err

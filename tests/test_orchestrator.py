@@ -553,7 +553,7 @@ def test_failed_write_keeps_the_old_run_file(tmp_path, monkeypatch):
         raise OSError("replace refused")
 
     monkeypatch.setattr(os, "replace", refuse)
-    run.events.append("edited")  # a different report.json, were it written
+    run.llm_calls += 1  # a different report.json, were it written
     with pytest.raises(OSError, match="replace refused"):
         run.run()
     after = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir() if p.is_file()}
@@ -565,14 +565,50 @@ def test_checkpoint_holds_only_stored_counters(tmp_path):
     run_generations(tmp_path, [fenced(NN)] * 2, islands=2, iterations=1)
     path = tmp_path / "out" / "checkpoints" / "gen-0001.json"
     doc = json.loads(path.read_text())
-    assert doc["version"] == 8
+    assert doc["version"] == 9
     assert sorted(doc["counters"]) == [
-        "base_errors", "events", "llm_calls", "next_seq", "optima", "pending_repair"
+        "base_errors", "llm_calls", "next_seq", "optima", "pending_repair"
     ]
-    doc["version"] = 7
+    doc["version"] = 8
     path.write_text(json.dumps(doc))
-    with pytest.raises(ConfigError, match="unsupported version 7"):
+    with pytest.raises(ConfigError, match="unsupported version 8"):
         EvolutionRun.from_checkpoint(path)
+
+
+def test_a_revert_reaches_the_report_and_survives_resume(tmp_path):
+    # the best error stays flat, so version 1, adopted at gen 3, is reverted at gen 5
+    for per_island in (False, True):
+        root = tmp_path / f"per-island-{per_island}"
+        root.mkdir()
+        n_prompts = 2 if per_island else 1
+        script = write_mock_script(root / "s.jsonl", generate=[fenced(NN)] * 12,
+                                   evolve=["rewrite {parent-source}"] * 2 * n_prompts)
+        cfg = config_for(root, script, iterations=6, islands=2, prompt_update_interval=3,
+                         per_island_prompts=per_island)
+        EvolutionRun(cfg, out_dir=root / "full").run()
+        report = report_without_wall(root / "full" / "report.json")
+        reverts = [e for e in report["events"] if "reverted" in e]
+        assert reverts == ["gen 5: reverted version 1 to 0 (no improvement over baseline "
+                           "58.3333)"] * n_prompts
+        assert [v["discarded"] for v in report["prompt_versions"]] == [False, True, False] * n_prompts
+        resume(root / "full" / "checkpoints" / "gen-0004.json", out_dir=root / "resumed")
+        resumed = report_without_wall(root / "resumed" / "report.json")
+        assert json.dumps(resumed, sort_keys=True) == json.dumps(report, sort_keys=True)
+
+
+def test_checkpoint_size_does_not_grow_with_the_run(tmp_path):
+    # one 2 KB prompt rewrite per generation: prompts.jsonl holds each once, no checkpoint does
+    sizes = {}
+    for iterations in (10, 30):
+        root = tmp_path / f"g{iterations}"
+        root.mkdir()
+        script = write_mock_script(root / "s.jsonl", generate=[fenced(NN)] * iterations,
+                                   evolve=[f"rewrite {g}\n" + "x" * 2048 for g in range(iterations)])
+        cfg = config_for(root, script, iterations=iterations, islands=1)
+        EvolutionRun(cfg, out_dir=root / "out").run()
+        last = root / "out" / "checkpoints" / f"gen-{iterations:04d}.json"
+        sizes[iterations] = len(last.read_bytes())
+    assert abs(sizes[30] - sizes[10]) < 64, sizes
 
 
 def test_record_outside_the_run_generations_is_malformed(tmp_path):

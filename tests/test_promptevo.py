@@ -1,16 +1,20 @@
+import json
 import random
+from dataclasses import asdict
 
 import pytest
 
+from coevo.codec import decode
 from coevo.evaluator import Candidate
 from coevo.experience import OUTCOME_FAILURE, ExperienceRecord, ExperienceStore, summarize
 from coevo.llm import MockBackend
 from coevo.promptevo import (
+    BASELINE_SPAN,
     REPAIR_DIRECTIVE,
+    REVERT_PROBATION,
     PromptState,
     compose_prompt,
     evolve_prompt,
-    get_strategy,
     sample_strategy,
     strategy_pool,
 )
@@ -51,12 +55,6 @@ def test_pool_has_five_ranked_strategies():
     assert pool[0].name == "parameter-modification"
     assert pool[-1].name == "complete-rewrite"
     assert all(s.directive for s in pool)
-
-
-def test_get_strategy_lookup():
-    assert get_strategy("heuristic-rewrite").rank == 4
-    with pytest.raises(KeyError):
-        get_strategy("mystery")
 
 
 # --- sampling -------------------------------------------------------------------
@@ -119,7 +117,7 @@ def test_state_roundtrip():
     state = PromptState.initial("tsp")
     state.adopt("new prompt {parent-source}", generation=3)
     state.observe(4, 5.0)
-    clone = PromptState.from_dict(state.to_dict())
+    clone = decode(PromptState, json.loads(json.dumps(asdict(state))), "prompt")
     assert clone.current_id == state.current_id
     assert clone.versions[1].text == "new prompt {parent-source}"
     assert clone.history == state.history
@@ -179,8 +177,8 @@ def test_compose_does_not_rescan_inserted_content():
 def test_evolve_adopts_mock_response():
     state = PromptState.initial("tsp")
     backend = MockBackend(["shiny new prompt {parent-source}"])
-    changed = evolve_prompt(state, empty_summary(), backend, generation=2)
-    assert changed
+    event = evolve_prompt(state, empty_summary(), backend, generation=2)
+    assert event == "gen 2: adopted version 1"
     assert state.current().text == "shiny new prompt {parent-source}"
     assert len(state.versions) == 2
     assert state.versions[1].created_at_generation == 2
@@ -207,11 +205,10 @@ def test_evolve_meta_prompt_preserves_embedded_placeholders():
 def test_evolve_llm_failure_keeps_version():
     state = PromptState.initial("tsp")
     backend = MockBackend([])  # exhausted from the start
-    changed = evolve_prompt(state, empty_summary(), backend, generation=1)
-    assert not changed
+    event = evolve_prompt(state, empty_summary(), backend, generation=1)
     assert state.current_id == 0
     assert len(state.versions) == 1
-    assert any("failed" in e for e in state.events)
+    assert "failed" in event
 
 
 def test_two_stagnant_generations_revert_to_prior_version():
@@ -222,11 +219,10 @@ def test_two_stagnant_generations_revert_to_prior_version():
     assert state.current_id == 1
     state.observe(4, 9.5)  # baseline is mean(10, 9, 8) = 9.0; both fail to beat it
     reverted = state.observe(5, 9.0)
-    assert reverted
+    assert "reverted" in reverted
     assert state.current_id == 0
-    assert state.versions[1].discarded
-    assert len(state.versions) == 2  # history is append-only; revert adds a marker event
-    assert any("reverted" in e for e in state.events)
+    assert state.discarded == [1]
+    assert len(state.versions) == 2  # versions are immutable; a revert only marks the id
 
 
 def test_improvement_below_baseline_cancels_revert():
@@ -236,9 +232,9 @@ def test_improvement_below_baseline_cancels_revert():
     state.adopt("useful rewrite", generation=3)
     state.observe(4, 7.0)  # beats the 9.0 baseline immediately
     reverted = state.observe(5, 12.0)
-    assert not reverted
+    assert reverted is None
     assert state.current_id == 1
-    assert not state.versions[1].discarded
+    assert state.discarded == []
 
 
 def test_newer_switch_supersedes_watchdog():
@@ -249,7 +245,18 @@ def test_newer_switch_supersedes_watchdog():
     state.adopt("v2", generation=2)  # supersedes the v1 watch
     state.observe(3, 10.0)
     reverted = state.observe(4, 10.0)
-    assert reverted  # v2 judged and reverted
+    assert "reverted version 2" in reverted  # v2 judged and reverted
     assert state.current_id == 1
-    assert not state.versions[1].discarded
-    assert state.versions[2].discarded
+    assert state.discarded == [2]
+
+
+def test_history_keeps_only_what_the_watchdog_reads():
+    # the trim is exact only while every post-switch entry the watchdog reads is kept
+    assert REVERT_PROBATION <= BASELINE_SPAN
+    state = PromptState.initial("tsp")
+    for gen in range(1, 200):
+        state.observe(gen, 100.0 - gen / 10)
+        if gen % 7 == 0:
+            state.adopt(f"v{gen}", generation=gen)
+        assert len(state.history) <= BASELINE_SPAN
+    assert state.history == [(gen, 100.0 - gen / 10) for gen in (197, 198, 199)]
