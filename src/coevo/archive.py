@@ -12,7 +12,6 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .codec import decode
 from .errors import ConfigError
 from .evaluator import Candidate, Descriptor
 
@@ -74,12 +73,6 @@ class IslandArchive:
             key=lambda item: (item[0].performance_bin, item[0].complexity_bin),
         )
 
-    def best(self) -> Candidate | None:
-        elites = [c for _, c in self.occupied()]
-        if not elites:
-            return None
-        return min(elites, key=lambda c: (-c.performance, c.id))
-
 
 def replay_log(
     log: list[LogEntry], registry: dict[str, Candidate], island_id: int = 0
@@ -97,16 +90,6 @@ def replay_log(
         if island.log[-1] != entry:
             raise ConfigError(f"island {island_id} log: replay diverged at {entry}")
     return island
-
-
-@dataclass
-class StateSnapshot:
-    """What a checkpoint holds of an EvolutionState; candidates and logs live in journals."""
-
-    generation: int
-    stagnation: int
-    best_id: str | None
-    rng_state: tuple[int, tuple[int, ...], float | None]
 
 
 @dataclass
@@ -138,39 +121,6 @@ class EvolutionState:
             self.best_so_far = candidate
             return True
         return False
-
-    def to_dict(self) -> dict:
-        # vars, not asdict: asdict would copy the 625 words of the RNG state one by one
-        return vars(StateSnapshot(
-            generation=self.generation,
-            stagnation=self.stagnation,
-            best_id=self.best_so_far.id if self.best_so_far else None,
-            rng_state=self.rng.getstate(),
-        ))
-
-    @classmethod
-    def from_dict(
-        cls, d: dict, candidates: dict[str, Candidate], logs: list[list[LogEntry]]
-    ) -> "EvolutionState":
-        """Restore the RNG, resolve ids and replay each island's log into its cells."""
-        snap = decode(StateSnapshot, d, "state")
-        rng = random.Random()
-        try:
-            rng.setstate(snap.rng_state)
-        except (ValueError, OverflowError) as exc:
-            raise ConfigError(f"state/rng_state: {exc}") from None
-        islands = [replay_log(log, candidates, i) for i, log in enumerate(logs)]
-        best = candidates.get(snap.best_id)
-        if best is None and (snap.best_id is not None or any(logs)):
-            raise ConfigError(f"state/best_id: no candidate {snap.best_id!r}")
-        return cls(
-            islands=islands,
-            rng=rng,
-            generation=snap.generation,
-            best_so_far=best,
-            stagnation=snap.stagnation,
-            candidates=candidates,
-        )
 
 
 def select_island(state: EvolutionState, rng: random.Random) -> int:

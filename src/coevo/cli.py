@@ -199,7 +199,7 @@ def _report_rows(paths: list[str]) -> list[dict]:
             base_errors = decode(dict[str, float], doc["base_errors"], "base_errors")
             best_error = decode(float, doc["best"]["mean_relative_error"],
                                 "best/mean_relative_error")
-        except (OSError, json.JSONDecodeError, KeyError, TypeError, ConfigError):
+        except (OSError, ValueError, KeyError, TypeError, ConfigError):
             raise ConfigError(f"malformed report file: {path}") from None
         for seed_name in sorted(base_errors):
             rows.append(
@@ -260,6 +260,9 @@ def main(argv: list[str] | None = None) -> int:
         return handlers[args.command](args)
     except (ConfigError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except UnicodeDecodeError as exc:  # an input file read as text
+        print(f"error: an input file is not UTF-8 text ({exc})", file=sys.stderr)
         return EXIT_USAGE
     except CoevoError as exc:
         print(f"error: {exc}", file=sys.stderr)

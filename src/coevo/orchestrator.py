@@ -18,8 +18,8 @@ line per registered candidate, its source given by the sha256 of its bytes),
 ``archive.jsonl`` (one line per archive-log entry), ``experience.jsonl``,
 ``prompts.jsonl`` (one line per prompt version) and ``events.jsonl`` (one
 JSON string per event). A checkpoint, ``checkpoints/gen-NNNN.json``, holds
-the rest of the run's state and, for each journal, how many of its bytes it
-counts and their sha256, so its size does not grow with the run.
+what of the run the journals cannot tell and, for each journal, how many of
+its bytes it counts and their sha256, so its size does not grow with the run.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import itertools
 import json
 import math
 import os
+import random
 import re
 import time
 import typing
@@ -53,7 +54,7 @@ from .experience import (
     strategy_stats,
     summarize,
 )
-from .instances import InstanceSet, load_benchmark
+from .instances import load_benchmark
 from .llm import Backend, CompletionRequest, HttpBackend, MockBackend, complete, extract_code
 from .oracles import ensure_optima
 from .promptevo import (
@@ -66,7 +67,7 @@ from .promptevo import (
 )
 from .seeds import SEEDS, seed_source
 
-CHECKPOINT_VERSION = 9
+CHECKPOINT_VERSION = 10
 REPORT_VERSION = 1
 SOURCE_JOURNAL = "sources.jsonl"
 CANDIDATE_JOURNAL = "candidates.jsonl"
@@ -75,13 +76,6 @@ PROMPT_JOURNAL = "prompts.jsonl"
 EVENT_JOURNAL = "events.jsonl"
 JOURNALS = (SOURCE_JOURNAL, CANDIDATE_JOURNAL, ARCHIVE_JOURNAL, EXPERIENCE_JOURNAL,
             PROMPT_JOURNAL, EVENT_JOURNAL)
-# EvolutionRun attributes a checkpoint holds besides the state, prompts,
-# journal marks and llm cursors it rebuilds, with their JSON types.
-# "optima" maps oracles.instance_key to the optimum the run's oracle found.
-COUNTERS = {
-    "base_errors": dict[str, float], "llm_calls": int, "next_seq": int,
-    "optima": dict[str, float], "pending_repair": dict[str, str],
-}
 _SHA256_HEX = re.compile(r"[0-9a-f]{64}")
 
 
@@ -175,7 +169,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        """JSON values, as a checkpoint holds them; each is checked against its field's type."""
+        """JSON values, as ``to_dict`` gives them; each is checked against its field's type."""
         return decode(cls, d, "config")
 
     @classmethod
@@ -274,7 +268,6 @@ class EvolutionRun:
         config: RunConfig,
         out_dir: str | Path | None = None,
         backend: Backend | None = None,
-        instance_set: InstanceSet | None = None,
         optima: dict[str, float] | None = None,
     ):
         """``optima`` maps ``oracles.instance_key`` to solved optima; the run adds its own."""
@@ -283,9 +276,7 @@ class EvolutionRun:
         self.out = Path(out_dir) if out_dir is not None else None
         if self.out is not None:
             (self.out / "checkpoints").mkdir(parents=True, exist_ok=True)
-        self.instances = instance_set if instance_set is not None else load_benchmark(
-            config.instances
-        )
+        self.instances = load_benchmark(config.instances)
         if self.instances.kind != config.problem:
             raise ConfigError(
                 f"instance set is {self.instances.kind}, config says {config.problem}"
@@ -305,7 +296,6 @@ class EvolutionRun:
         self.experience = ExperienceStore(self.state.candidates)
         n_prompts = config.islands if config.per_island_prompts else 1
         self.prompts = [PromptState.initial(config.problem) for _ in range(n_prompts)]
-        self.base_errors: dict[str, float] = {}
         self.events: list[str] = []
         self.llm_calls = 0
         self.next_seq = 0
@@ -324,6 +314,12 @@ class EvolutionRun:
         cid = f"c{self.next_seq:06d}"
         self.next_seq += 1
         return cid
+
+    @property
+    def base_errors(self) -> dict[str, float]:
+        """Each seed's mean relative error: island 0's seeds are registered first, in order."""
+        return {name: -c.performance
+                for name, c in zip(self.config.seeds, self.state.candidates.values())}
 
     def _prompt_for(self, island: int) -> PromptState:
         return self.prompts[island if self.config.per_island_prompts else 0]
@@ -364,6 +360,7 @@ class EvolutionRun:
         """Evaluate the configured seeds and plant them on every island."""
         if self.state.candidates:
             return self.state
+        errors = {}
         for name in self.config.seeds:
             probe = Candidate(id=f"probe-{name}", source=seed_source(name))
             report = evaluate_candidate(probe, self.instances, self.runner_cfg)
@@ -372,7 +369,7 @@ class EvolutionRun:
                     f"seed {name!r} failed evaluation ({report.failure_class}): "
                     f"{report.diagnostic}"
                 )
-            self.base_errors[name] = report.mean_relative_error
+            errors[name] = report.mean_relative_error
         for island in self.state.islands:
             for name in self.config.seeds:
                 self._admit(Candidate(
@@ -381,7 +378,7 @@ class EvolutionRun:
                     island=island.island_id,
                     generation=0,
                     strategy_used="seed",
-                    performance=-self.base_errors[name],
+                    performance=-errors[name],
                 ))
         self._write_checkpoint()
         return self.state
@@ -506,19 +503,19 @@ class EvolutionRun:
 
         evolve_now = generation % self.config.prompt_update_interval == 0
         summary = summarize(self.experience, self.config.experience_window)
-        for pstate in self.prompts:
-            reverted = pstate.observe(generation, best_error)
-            if reverted:
-                self.events.append(reverted)
-            if not evolve_now:
-                continue
-            if self.config.llm_call_cap is not None and self.llm_calls >= self.config.llm_call_cap:
-                self.events.append(f"gen {generation}: llm call cap reached; prompt kept")
-                continue
-            self.llm_calls += 1
-            self.events.append(
-                evolve_prompt(pstate, summary, self.backend, generation, self._request)
-            )
+        cap = self.config.llm_call_cap
+        for i, pstate in enumerate(self.prompts):
+            events = [pstate.observe(generation, best_error)]
+            if evolve_now and cap is not None and self.llm_calls >= cap:
+                events.append(f"gen {generation}: llm call cap reached; prompt kept")
+            elif evolve_now:
+                self.llm_calls += 1
+                events.append(
+                    evolve_prompt(pstate, summary, self.backend, generation, self._request)
+                )
+            # "gen 5: reverted ..." names its island when each island has its own prompt
+            where = f": island {i} " if self.config.per_island_prompts else ": "
+            self.events += [event.replace(": ", where, 1) for event in events if event]
 
         if (
             self.config.migration_interval > 0
@@ -613,23 +610,6 @@ class EvolutionRun:
 
     # -- checkpointing ----------------------------------------------------
 
-    def checkpoint_dict(self) -> dict:
-        """The checkpoint of the run as its journals hold it now."""
-        llm_state = self.backend.state_dict() if isinstance(self.backend, MockBackend) else {}
-        counters = {name: getattr(self, name) for name in COUNTERS}
-        counters["pending_repair"] = {str(k): v for k, v in self.pending_repair.items()}
-        return {
-            "version": CHECKPOINT_VERSION,
-            "config": self.config.to_dict(),
-            "state": self.state.to_dict(),
-            # prompts.jsonl holds the versions
-            "prompts": [dataclasses.asdict(dataclasses.replace(p, versions=[]))
-                        for p in self.prompts],
-            "llm_state": llm_state,
-            "counters": counters,
-            "journals": {name: journal.mark() for name, journal in self._journals.items()},
-        }
-
     def _append_journals(self) -> None:
         """Journal what the run registered, logged and recorded since the last call; sync it."""
         if self._journals is None:  # a fresh run
@@ -662,8 +642,20 @@ class EvolutionRun:
         if self.out is None:
             return
         self._append_journals()
+        doc = dataclasses.asdict(Checkpoint(
+            version=CHECKPOINT_VERSION,
+            config=self.config,
+            state=SavedState(self.state.generation, self.state.stagnation, rng_state=()),
+            prompts=[dataclasses.replace(p, versions=[]) for p in self.prompts],
+            llm_state=self.backend.state_dict() if isinstance(self.backend, MockBackend) else {},
+            counters=Counters(self.llm_calls, self.optima,
+                              {str(k): v for k, v in self.pending_repair.items()}),
+            journals={name: journal.mark() for name, journal in self._journals.items()},
+        ))
+        # set after asdict, which would copy the 625 words of the RNG state one by one
+        doc["state"]["rng_state"] = self.state.rng.getstate()
         path = self.out / "checkpoints" / f"gen-{self.state.generation:04d}.json"
-        write_atomic(path, json.dumps(self.checkpoint_dict(), sort_keys=True))
+        write_atomic(path, json.dumps(doc, sort_keys=True))
 
     @classmethod
     def from_checkpoint(
@@ -677,31 +669,39 @@ class EvolutionRun:
         The run directory is the checkpoint's grandparent (``<run>/checkpoints/gen-NNNN.json``).
         Everything is read and checked before any file is written: bad content, a journal
         that differs from what the checkpoint counts, or a candidate whose source the
-        counted sources do not hold is a ConfigError.
+        counted sources do not hold is a ConfigError. The best candidate, the seeds'
+        errors and the next candidate id come from the candidates.
         """
         root = Path(path).parent.parent
         try:
             doc = json.loads(Path(path).read_text())
             if doc["version"] != CHECKPOINT_VERSION:
                 raise ValueError(f"unsupported version {doc['version']!r}")
-            config = RunConfig.from_dict(doc["config"])
-            marks = decode(dict[str, JournalMark], doc["journals"], "journals")
-            if sorted(marks) != sorted(JOURNALS):
+            ckpt = decode(Checkpoint, doc, "checkpoint")
+            config, counters = ckpt.config, ckpt.counters
+            if sorted(ckpt.journals) != sorted(JOURNALS):
                 raise ConfigError(f"journals must name {', '.join(JOURNALS)}")
-            prefixes = {name: _read_journal(root / name, marks[name]) for name in JOURNALS}
+            prefixes = {name: _read_journal(root / name, ckpt.journals[name]) for name in JOURNALS}
             sources = {_source_sha256(s): s
                        for s in _decode_lines(str, SOURCE_JOURNAL, prefixes[SOURCE_JOURNAL])}
             registered = _decode_lines(Candidate, CANDIDATE_JOURNAL, prefixes[CANDIDATE_JOURNAL])
             candidates: dict[str, Candidate] = {}
             for i, candidate in enumerate(registered, start=1):
-                if candidate.id in candidates:
-                    raise ConfigError(f"{CANDIDATE_JOURNAL} line {i}: {candidate.id!r} is "
-                                      "registered twice")
+                # ids in sequence: unique, and the next one is c{len(candidates):06d}
+                if candidate.id != f"c{i - 1:06d}":
+                    raise ConfigError(f"{CANDIDATE_JOURNAL} line {i}: {candidate.id!r} is out "
+                                      f"of sequence, expected 'c{i - 1:06d}'")
                 if candidate.source not in sources:
                     raise ConfigError(f"{CANDIDATE_JOURNAL} line {i}: {SOURCE_JOURNAL} holds "
                                       f"no source with sha256 {candidate.source!r}")
                 candidate.source = sources[candidate.source]
                 candidates[candidate.id] = candidate
+            seeds = registered[:len(config.seeds)]
+            if len(seeds) < len(config.seeds) or any(
+                c.island != 0 or c.strategy_used != "seed" or c.performance is None for c in seeds
+            ):
+                raise ConfigError(f"{CANDIDATE_JOURNAL} must open with island 0's scored seeds, "
+                                  "one per config seed")
             logs: list[list[LogEntry]] = [[] for _ in range(config.islands)]
             entries = _decode_lines(LogEntry, ARCHIVE_JOURNAL, prefixes[ARCHIVE_JOURNAL])
             for i, entry in enumerate(entries, start=1):
@@ -709,8 +709,17 @@ class EvolutionRun:
                     raise ConfigError(f"{ARCHIVE_JOURNAL} line {i}: the run has no island "
                                       f"{entry.island}")
                 logs[entry.island].append(entry)
-            state = EvolutionState.from_dict(doc["state"], candidates, logs)
-            prompts = decode(list[PromptState], doc["prompts"], "prompts")
+            rng = random.Random()
+            try:
+                rng.setstate(ckpt.state.rng_state)
+            except (ValueError, OverflowError) as exc:
+                raise ConfigError(f"state/rng_state: {exc}") from None
+            islands = [arch.replay_log(log, candidates, i) for i, log in enumerate(logs)]
+            state = EvolutionState(islands, rng, ckpt.state.generation,
+                                   stagnation=ckpt.state.stagnation, candidates=candidates)
+            for candidate in registered:  # in the order _admit met them
+                state.update_best(candidate)
+            prompts = ckpt.prompts
             n_prompts = config.islands if config.per_island_prompts else 1
             if len(prompts) != n_prompts:
                 raise ConfigError(f"prompts holds {len(prompts)} states, expected {n_prompts}")
@@ -744,16 +753,13 @@ class EvolutionRun:
                     raise ConfigError(f"{EXPERIENCE_JOURNAL} line {i}: prompt version "
                                       f"{r.prompt_version} is not held")
             events = _decode_lines(str, EVENT_JOURNAL, prefixes[EVENT_JOURNAL])
-            llm_state = decode(dict[str, int], doc["llm_state"], "llm_state")
-            counters = {name: decode(kind, doc["counters"][name], f"counters/{name}")
-                        for name, kind in COUNTERS.items()}
-            counters["pending_repair"] = {int(k): v for k, v in counters["pending_repair"].items()}
-            for island, cid in counters["pending_repair"].items():
+            pending_repair = {int(k): v for k, v in counters.pending_repair.items()}
+            for island, cid in pending_repair.items():
                 failed = experience.for_child(cid)
                 if failed is None or failed.outcome != OUTCOME_FAILURE or failed.island != island:
                     raise ConfigError(f"counters/pending_repair/{island}: {cid!r} is no failed "
                                       "offspring of that island")
-            for key, value in counters["optima"].items():
+            for key, value in counters.optima.items():
                 if not _SHA256_HEX.fullmatch(key):
                     raise ConfigError(f"counters/optima key {key!r} is not a sha256 hex digest")
                 if not 0 < value < math.inf or (config.problem == "bpp" and value != int(value)):
@@ -765,13 +771,13 @@ class EvolutionRun:
         backend = backend if backend is not None else build_backend(config)
         if isinstance(backend, MockBackend):
             try:
-                backend.load_state_dict(llm_state)
+                backend.load_state_dict(ckpt.llm_state)
             except ValueError as exc:
                 raise ConfigError(f"malformed checkpoint {path}: llm_state: {exc}") from None
-        run = cls(config, out_dir=out_dir, backend=backend, optima=counters.pop("optima"))
+        run = cls(config, out_dir=out_dir, backend=backend, optima=counters.optima)
         run.state, run.prompts, run.experience, run.events = state, prompts, experience, events
-        for name, value in counters.items():
-            setattr(run, name, value)
+        run.llm_calls, run.pending_repair = counters.llm_calls, pending_repair
+        run.next_seq = len(state.candidates)  # a checkpoint registers every id handed out
         if run.out is not None:
             run._continue_files(prefixes, sources)
         return run
@@ -811,6 +817,35 @@ def write_atomic(path: Path, text: str | bytes) -> None:
 
 
 @dataclass
+class SavedState:
+    """What a checkpoint holds of the EvolutionState; the journals hold the rest."""
+
+    generation: int
+    stagnation: int
+    rng_state: tuple[int, tuple[int, ...], float | None]
+
+
+@dataclass
+class Counters:
+    llm_calls: int
+    optima: dict[str, float]  # oracles.instance_key -> the optimum the run's oracle found
+    pending_repair: dict[str, str]  # island, as a JSON key -> its failed offspring's id
+
+
+@dataclass
+class Checkpoint:
+    """``checkpoints/gen-NNNN.json``: what of a run its journals cannot tell."""
+
+    version: int
+    config: RunConfig
+    state: SavedState
+    prompts: list[PromptState]  # with empty versions: prompts.jsonl holds them
+    llm_state: dict[str, int]  # the mock script's cursors
+    counters: Counters
+    journals: dict[str, JournalMark]
+
+
+@dataclass
 class JournaledVersion(PromptVersion):  # one line of prompts.jsonl
     prompt: int  # the index of the prompt state in EvolutionRun.prompts
 
@@ -846,8 +881,8 @@ class Journal:
         self.size += len(data)
         self._hash.update(data)
 
-    def mark(self) -> dict:
-        return dataclasses.asdict(JournalMark(self.size, self._hash.hexdigest()))
+    def mark(self) -> JournalMark:
+        return JournalMark(self.size, self._hash.hexdigest())
 
 
 def _read_journal(path: Path, mark: JournalMark) -> bytes:

@@ -1,8 +1,8 @@
-import json
 import random
 
 import pytest
 
+from conftest import TRAP4, write_mock_script, write_tsp_file
 from coevo.archive import (
     ACCEPTED_NEW,
     REJECTED,
@@ -20,6 +20,8 @@ from coevo.archive import (
     select_parent,
 )
 from coevo.evaluator import Candidate
+from coevo.orchestrator import EvolutionRun, RunConfig
+from coevo.seeds import seed_source
 
 CHI2_CRIT_DF4_P01 = 13.2767  # upper 1% point, 4 degrees of freedom
 
@@ -313,26 +315,31 @@ def test_update_best_tracks_max_over_cells():
     assert state.best_so_far.performance == best
 
 
-def test_state_roundtrip_preserves_rng_stream():
-    state = EvolutionState.fresh(3, seed=9)
-    for i in range(3):
-        cand = scored(f"c{i}", -float(i + 1), i, 0)
-        state.register(cand)
-        state.islands[i].insert(cand, generation=1)
-    state.update_best(state.candidates["c0"])
-    state.generation = 4
-    state.stagnation = 2
-    state.rng.random()  # advance the stream
+def test_state_roundtrip_preserves_rng_stream(tmp_path):
+    # a checkpoint holds the generation, stagnation and RNG state; the journals the rest
+    inst = tmp_path / "instances"
+    inst.mkdir()
+    write_tsp_file(inst / "trap4.tsp", "trap4", TRAP4)
+    (inst / "optima.txt").write_text("trap4 6\n")
+    # generation 1 improves on the seed, generation 2 does not
+    generate = [f"```python\n{seed_source(name)}\n```"
+                for name in ("two-opt", "nearest-neighbor", "nearest-neighbor", "nearest-neighbor")]
+    script = write_mock_script(tmp_path / "s.jsonl", generate=generate, evolve=["m"] * 2)
+    cfg = RunConfig(instances=str(inst), iterations=2, islands=2, timeout_s=30.0, rng_seed=9,
+                    mock_script=str(script))
+    run = EvolutionRun(cfg, out_dir=tmp_path / "out")
+    run.init_population()
+    run.step()
+    run.step()
+    state = run.state
+    assert state.stagnation == 1
 
-    # the candidates and logs come from the run's journals, the rest from the checkpoint
-    logs = [isl.log for isl in state.islands]
-    clone = EvolutionState.from_dict(json.loads(json.dumps(state.to_dict())),
-                                     state.candidates, logs)
-    assert clone.generation == 4
-    assert clone.stagnation == 2
-    assert clone.best_so_far.id == "c0"
-    assert {d.key() for d, _ in clone.islands[1].occupied()} == {
-        d.key() for d, _ in state.islands[1].occupied()
-    }
-    assert [e.outcome for e in clone.islands[2].log] == [e.outcome for e in state.islands[2].log]
+    clone = EvolutionRun.from_checkpoint(tmp_path / "out" / "checkpoints" / "gen-0002.json").state
+    assert clone.generation == 2
+    assert clone.stagnation == 1
+    assert clone.best_so_far is clone.candidates[state.best_so_far.id]
+    for island, twin in zip(state.islands, clone.islands):
+        assert twin.log == island.log
+        assert [(d, c.id) for d, c in twin.occupied()] == [(d, c.id) for d, c in island.occupied()]
+    assert clone.rng.getstate() == state.rng.getstate()
     assert clone.rng.random() == state.rng.random()

@@ -2,6 +2,8 @@ import json
 import shutil
 from pathlib import Path
 
+import pytest
+
 from conftest import (
     TRAP4,
     UNIT_SQUARE,
@@ -352,7 +354,12 @@ def test_cmd_run_resume_malformed_checkpoint_exit_1(tmp_path, capsys):
         "missing-section": edited(lambda d: d.pop("state")),
         "wrong-typed-section": edited(lambda d: d.update(counters=[])),
         "nested-leaf": journal("experience.jsonl", 0, lambda r: r.update(child_error="x")),
-        "unknown-id": edited(lambda d: d["state"].update(best_id="c999999")),
+        # candidate ids must run c000000, c000001, ... in registration order
+        "swapped-ids": lambda run: rewrite_journal(
+            run, run / ckpt, "candidates.jsonl", lambda lines: [*lines[:2], lines[3], lines[2]]
+        ),
+        # a resume counts the candidates instead
+        "stored-next-seq": edited(lambda d: d["counters"].update(next_seq=4)),
         "dangling-child": journal("experience.jsonl", 0, lambda r: r.update(child_id="c999999")),
         "dangling-parent": journal("experience.jsonl", 0,
                                    lambda r: r.update(parent_id="c999999")),
@@ -432,3 +439,25 @@ def test_cmd_run_seed_flag_overrides_config(tmp_path):
 def test_usage_errors_exit_1():
     assert main(["run"]) == 1
     assert main(["definitely-not-a-command"]) == 1
+
+
+@pytest.mark.parametrize("reads", ["config", "mock-script", "target", "report", "instance"])
+def test_a_file_that_is_not_utf8_exits_1(tmp_path, capsys, reads):
+    # byte 0xff starts no UTF-8 sequence
+    inst = bench_dir(tmp_path)
+    bad = tmp_path / {"target": "bad.py", "report": "bad.json", "instance": "bad.tsp"}.get(
+        reads, "bad.txt")
+    bad.write_bytes(b"NAME : bad\n\xff\n")
+    argv = {
+        "config": ["run", "--config", str(bad), "--out", str(tmp_path / "out")],
+        "mock-script": ["run", "--config", str(write_config(tmp_path, inst, bad)),
+                        "--out", str(tmp_path / "out")],
+        "target": ["eval", "--target", str(bad), "--instances", str(inst)],
+        "report": ["report", str(bad)],
+        "instance": ["oracle", "--instance", str(bad)],
+    }[reads]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    if reads == "report":
+        assert err == f"error: malformed report file: {bad}\n"

@@ -387,6 +387,26 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
 
 
+def test_resume_from_every_checkpoint_matches_the_uninterrupted_run(tmp_path):
+    # the best improves mid-run, so a resume must work it out from the candidates;
+    # island 0's broken child is repaired in generation 2, and islands migrate at 2 and 4
+    generate = [BROKEN, fenced(NN), fenced(NN), fenced(TWO_OPT)] + [fenced(NN)] * 4
+    script = write_mock_script(tmp_path / "s.jsonl", generate=generate, evolve=["m"] * 4)
+    cfg = config_for(tmp_path, script, iterations=4, islands=2, repair_failed_offspring=True)
+    full = EvolutionRun(cfg, out_dir=tmp_path / "full")
+    full.run()
+    report = report_without_wall(tmp_path / "full" / "report.json")
+    assert report["best"]["id"] == "c000005"
+    assert report["best"]["mean_relative_error"] < report["base_errors"]["nearest-neighbor"]
+    assert report["strategy_usage"]["repair"] == 1
+    assert sum("migration" in e for e in report["events"]) == 2
+    assert full.experience.records[0].failure_class == FAIL_START
+    for generation in range(5):
+        out = tmp_path / f"resumed-{generation}"
+        resume(tmp_path / "full" / "checkpoints" / f"gen-{generation:04d}.json", out_dir=out)
+        assert report_without_wall(out / "report.json") == report, generation
+
+
 def plain_bench_dir(tmp_path, trap4=TRAP4, sidecar=""):
     """trap4 and square, with only the optima the sidecar text gives; the oracle fills the rest."""
     inst = tmp_path / "plain"
@@ -565,13 +585,11 @@ def test_checkpoint_holds_only_stored_counters(tmp_path):
     run_generations(tmp_path, [fenced(NN)] * 2, islands=2, iterations=1)
     path = tmp_path / "out" / "checkpoints" / "gen-0001.json"
     doc = json.loads(path.read_text())
-    assert doc["version"] == 9
-    assert sorted(doc["counters"]) == [
-        "base_errors", "llm_calls", "next_seq", "optima", "pending_repair"
-    ]
-    doc["version"] = 8
+    assert doc["version"] == 10
+    assert sorted(doc["counters"]) == ["llm_calls", "optima", "pending_repair"]
+    doc["version"] = 9
     path.write_text(json.dumps(doc))
-    with pytest.raises(ConfigError, match="unsupported version 8"):
+    with pytest.raises(ConfigError, match="unsupported version 9"):
         EvolutionRun.from_checkpoint(path)
 
 
@@ -588,8 +606,12 @@ def test_a_revert_reaches_the_report_and_survives_resume(tmp_path):
         EvolutionRun(cfg, out_dir=root / "full").run()
         report = report_without_wall(root / "full" / "report.json")
         reverts = [e for e in report["events"] if "reverted" in e]
-        assert reverts == ["gen 5: reverted version 1 to 0 (no improvement over baseline "
-                           "58.3333)"] * n_prompts
+        islands = [f"island {i} " for i in range(n_prompts)] if per_island else [""]
+        assert reverts == [f"gen 5: {island}reverted version 1 to 0 (no improvement over "
+                           "baseline 58.3333)" for island in islands]
+        adopted = [e for e in report["events"] if "adopted" in e]
+        assert adopted == [f"gen {g}: {island}adopted version {v}"
+                           for g, v in ((3, 1), (6, 2)) for island in islands]
         assert [v["discarded"] for v in report["prompt_versions"]] == [False, True, False] * n_prompts
         resume(root / "full" / "checkpoints" / "gen-0004.json", out_dir=root / "resumed")
         resumed = report_without_wall(root / "resumed" / "report.json")
@@ -609,6 +631,19 @@ def test_checkpoint_size_does_not_grow_with_the_run(tmp_path):
         last = root / "out" / "checkpoints" / f"gen-{iterations:04d}.json"
         sizes[iterations] = len(last.read_bytes())
     assert abs(sizes[30] - sizes[10]) < 64, sizes
+
+
+def test_a_candidate_journal_not_opening_with_the_seeds_is_malformed(tmp_path):
+    # a resume reads the seeds' base errors from the first candidates
+    run_generations(tmp_path, [fenced(NN)] * 2, islands=2, iterations=1)
+    ckpt = Path("checkpoints") / "gen-0001.json"
+    for field, value in (("performance", None), ("strategy_used", "two-opt"), ("island", 1)):
+        run_dir = tmp_path / field
+        shutil.copytree(tmp_path / "out", run_dir)
+        edit_journal_line(run_dir, run_dir / ckpt, "candidates.jsonl", 0,
+                          lambda c: c.update({field: value}))
+        with pytest.raises(ConfigError, match="must open with island 0's scored seeds"):
+            EvolutionRun.from_checkpoint(run_dir / ckpt)
 
 
 def test_record_outside_the_run_generations_is_malformed(tmp_path):
@@ -651,7 +686,7 @@ def test_checkpoint_holds_offsets_not_the_run(tmp_path):
     assert sorted(doc) == [
         "config", "counters", "journals", "llm_state", "prompts", "state", "version"
     ]
-    assert sorted(doc["state"]) == ["best_id", "generation", "rng_state", "stagnation"]
+    assert sorted(doc["state"]) == ["generation", "rng_state", "stagnation"]
     for name in JOURNALS:
         data = (out / name).read_bytes()
         assert doc["journals"][name] == {
