@@ -12,7 +12,6 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
 from .evaluator import Candidate, Descriptor
 
 ACCEPTED_NEW = "accepted-new"
@@ -37,59 +36,25 @@ def descriptor(candidate: Candidate) -> Descriptor:
 
 
 @dataclass
-class LogEntry:
-    candidate_id: str
-    descriptor_key: str
-    outcome: str
-    generation: int
-    island: int
-
-
-@dataclass
 class IslandArchive:
     island_id: int
     cells: dict[Descriptor, Candidate] = field(default_factory=dict)
-    log: list[LogEntry] = field(default_factory=list)
 
-    def insert(self, candidate: Candidate, generation: int = 0) -> str:
+    def insert(self, candidate: Candidate) -> str:
         if candidate.descriptor is None or candidate.performance is None:
             raise ValueError(f"candidate {candidate.id} is not scored/mapped")
         cell = candidate.descriptor
         incumbent = self.cells.get(cell)
-        if incumbent is None:
-            outcome = ACCEPTED_NEW
-            self.cells[cell] = candidate
-        elif candidate.performance >= incumbent.performance:
-            outcome = REPLACED
-            self.cells[cell] = candidate
-        else:
-            outcome = REJECTED
-        self.log.append(LogEntry(candidate.id, cell.key(), outcome, generation, self.island_id))
-        return outcome
+        if incumbent is not None and candidate.performance < incumbent.performance:
+            return REJECTED
+        self.cells[cell] = candidate
+        return ACCEPTED_NEW if incumbent is None else REPLACED
 
     def occupied(self) -> list[tuple[Descriptor, Candidate]]:
         return sorted(
             self.cells.items(),
             key=lambda item: (item[0].performance_bin, item[0].complexity_bin),
         )
-
-
-def replay_log(
-    log: list[LogEntry], registry: dict[str, Candidate], island_id: int = 0
-) -> IslandArchive:
-    """Rebuild an archive by re-applying its insertion log; the log must replay exactly."""
-    island = IslandArchive(island_id=island_id)
-    for entry in log:
-        candidate = registry.get(entry.candidate_id)
-        if candidate is None:
-            raise ConfigError(f"island {island_id} log: unknown candidate {entry.candidate_id!r}")
-        try:
-            island.insert(candidate, entry.generation)
-        except ValueError as exc:
-            raise ConfigError(f"island {island_id} log: {exc}") from None
-        if island.log[-1] != entry:
-            raise ConfigError(f"island {island_id} log: replay diverged at {entry}")
-    return island
 
 
 @dataclass
@@ -110,8 +75,14 @@ class EvolutionState:
             rng=random.Random(seed),
         )
 
-    def register(self, candidate: Candidate) -> None:
+    def admit(self, candidate: Candidate) -> None:
+        """Register an evaluated candidate; if it scored, map it, archive it on its
+        island and track it as the global elite."""
         self.candidates[candidate.id] = candidate
+        if candidate.performance is not None:
+            candidate.descriptor = descriptor(candidate)
+            self.islands[candidate.island].insert(candidate)
+            self.update_best(candidate)
 
     def update_best(self, candidate: Candidate) -> bool:
         """Track the global elite; True when strictly improved."""
@@ -177,17 +148,13 @@ def select_parent(
 
 
 @dataclass
-class MigrationConfig:
-    migrants_per_event: int = 1  # top-k elites offered per island
-
-
-@dataclass
 class MigrationReport:
     offers: list[tuple[int, int, str, str]] = field(default_factory=list)  # src, dst, id, outcome
 
 
-def migrate(state: EvolutionState, config: MigrationConfig = MigrationConfig()) -> MigrationReport:
-    """Ring migration: island i offers its best elites to island (i+1) mod N.
+def migrate(state: EvolutionState, migrants_per_event: int = 1) -> MigrationReport:
+    """Ring migration: island i offers its best ``migrants_per_event`` elites to
+    island (i+1) mod N.
 
     Offers are snapshotted before any insertion so a migrant cannot cascade
     around the ring within one event; targets apply the normal archive
@@ -203,9 +170,9 @@ def migrate(state: EvolutionState, config: MigrationConfig = MigrationConfig()) 
             (c for _, c in island.occupied()),
             key=lambda c: (-c.performance, c.id),
         )
-        for migrant in elites[: config.migrants_per_event]:
+        for migrant in elites[:migrants_per_event]:
             offers.append((i, (i + 1) % n, migrant))
     for src, dst, migrant in offers:
-        outcome = state.islands[dst].insert(migrant, state.generation)
+        outcome = state.islands[dst].insert(migrant)
         report.offers.append((src, dst, migrant.id, outcome))
     return report

@@ -48,6 +48,7 @@ FILE_SIZE_LIMIT = 64 << 20  # bytes a candidate may write into one file (RLIMIT_
 ENV_ALLOWLIST = ("PATH",)  # the only variables a candidate inherits
 HELPER = Path(__file__).with_name("forkserver.py")  # the script every candidate is forked from
 HELPER_WAIT_S = 10.0  # longest wait for the helper to answer before it is replaced
+MAX_TIMEOUT_S = 2_000_000  # epoll waits in int milliseconds, so about 2 147 483 s at most
 
 
 @dataclass(frozen=True)
@@ -85,10 +86,19 @@ class RunnerConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if not self.timeout_s > 0:
-            raise ConfigError("timeout must be positive")
+        check_timeout("timeout", self.timeout_s)
+        if self.total_timeout_s is not None:
+            check_timeout("total timeout", self.total_timeout_s)
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+
+
+def check_timeout(name: str, seconds: float) -> None:
+    """ConfigError unless ``seconds`` is a wait the evaluator can make."""
+    if not seconds > 0:
+        raise ConfigError(f"{name} must be positive")
+    if not seconds <= MAX_TIMEOUT_S:
+        raise ConfigError(f"{name} must be at most {MAX_TIMEOUT_S} s")
 
 
 @dataclass

@@ -12,14 +12,16 @@ migration schedule. With the mock backend and a fixed seed the whole run is
 reproducible bit for bit, and every generation is checkpointed for exact
 resume.
 
-A run directory holds six append-only journals: ``sources.jsonl`` (each
+A run directory holds five append-only journals: ``sources.jsonl`` (each
 distinct candidate source once, as a JSON string), ``candidates.jsonl`` (one
-line per registered candidate, its source given by the sha256 of its bytes),
-``archive.jsonl`` (one line per archive-log entry), ``experience.jsonl``,
-``prompts.jsonl`` (one line per prompt version) and ``events.jsonl`` (one
-JSON string per event). A checkpoint, ``checkpoints/gen-NNNN.json``, holds
-what of the run the journals cannot tell and, for each journal, how many of
-its bytes it counts and their sha256, so its size does not grow with the run.
+line per registered candidate, in the order the run admitted them, its source
+given by the sha256 of its bytes), ``experience.jsonl``, ``prompts.jsonl``
+(one line per prompt version) and ``events.jsonl`` (one JSON string per
+event). A checkpoint, ``checkpoints/gen-NNNN.json``, holds what of the run the
+journals cannot tell and, for each journal, how many of its bytes it counts
+and their sha256, so its size does not grow with the run. The island archives
+are not stored: a resume rebuilds them by admitting the candidates again, in
+order, and replaying the migrations the schedule made.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import itertools
 import json
 import math
 import os
-import random
 import re
 import time
 import typing
@@ -40,10 +41,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import archive as arch
-from .archive import EvolutionState, LogEntry, MigrationConfig, descriptor
+from .archive import EvolutionState, descriptor
 from .codec import EXPECTED, decode
 from .errors import ConfigError, EmptyResponseError, LlmError
-from .evaluator import Candidate, RunnerConfig, evaluate_candidate, start_evaluation
+from .evaluator import (
+    Candidate,
+    RunnerConfig,
+    check_timeout,
+    evaluate_candidate,
+    start_evaluation,
+)
 from .experience import (
     JOURNAL as EXPERIENCE_JOURNAL,
     OUTCOME_FAILURE,
@@ -67,15 +74,14 @@ from .promptevo import (
 )
 from .seeds import SEEDS, seed_source
 
-CHECKPOINT_VERSION = 10
+CHECKPOINT_VERSION = 11
 REPORT_VERSION = 1
 SOURCE_JOURNAL = "sources.jsonl"
 CANDIDATE_JOURNAL = "candidates.jsonl"
-ARCHIVE_JOURNAL = "archive.jsonl"
 PROMPT_JOURNAL = "prompts.jsonl"
 EVENT_JOURNAL = "events.jsonl"
-JOURNALS = (SOURCE_JOURNAL, CANDIDATE_JOURNAL, ARCHIVE_JOURNAL, EXPERIENCE_JOURNAL,
-            PROMPT_JOURNAL, EVENT_JOURNAL)
+JOURNALS = (SOURCE_JOURNAL, CANDIDATE_JOURNAL, EXPERIENCE_JOURNAL, PROMPT_JOURNAL,
+            EVENT_JOURNAL)
 _SHA256_HEX = re.compile(r"[0-9a-f]{64}")
 
 
@@ -123,10 +129,9 @@ class RunConfig:
             raise ConfigError("iterations must be >= 1")
         if self.islands < 1:
             raise ConfigError("islands must be >= 1")
-        if not self.timeout_s > 0:
-            raise ConfigError("timeout must be positive")
-        if self.total_timeout_s is not None and not self.total_timeout_s > 0:
-            raise ConfigError("total timeout must be positive when set")
+        check_timeout("timeout", self.timeout_s)
+        if self.total_timeout_s is not None:
+            check_timeout("total timeout", self.total_timeout_s)
         if self.migration_interval < 0:
             raise ConfigError("migration_interval must be >= 0 (0 disables migration)")
         if self.migrants_per_event < 0:
@@ -141,8 +146,8 @@ class RunConfig:
             raise ConfigError("experience_window must be >= 1")
         if not self.strategy_temperature > 0:
             raise ConfigError("strategy_temperature must be positive")
-        if self.temperature < 0:
-            raise ConfigError("temperature must be >= 0")
+        if not 0 <= self.temperature < math.inf:
+            raise ConfigError("temperature must be finite and >= 0")
         if not 0 < self.top_p <= 1:
             raise ConfigError("top_p must be in (0, 1]")
         if self.max_tokens < 1:
@@ -274,8 +279,6 @@ class EvolutionRun:
         config.validate()
         self.config = config
         self.out = Path(out_dir) if out_dir is not None else None
-        if self.out is not None:
-            (self.out / "checkpoints").mkdir(parents=True, exist_ok=True)
         self.instances = load_benchmark(config.instances)
         if self.instances.kind != config.problem:
             raise ConfigError(
@@ -301,12 +304,13 @@ class EvolutionRun:
         self.next_seq = 0
         self.pending_repair: dict[int, str] = {}
         # What the out directory already holds: the journals, opened by the first
-        # checkpoint or by a resume, each journaled source's sha256, each island's
-        # log and each prompt state's versions.
+        # checkpoint or by a resume, each journaled source's sha256 and each prompt
+        # state's versions.
         self._journals: dict[str, Journal] | None = None
         self._stored: set[str] = set()
-        self._logged = [0] * config.islands
         self._versioned = [0] * n_prompts
+        if self.out is not None:  # last, so a refused start leaves no directory behind
+            (self.out / "checkpoints").mkdir(parents=True, exist_ok=True)
 
     # -- id and prompt helpers ------------------------------------------
 
@@ -348,14 +352,6 @@ class EvolutionRun:
 
     # -- loop phases -----------------------------------------------------
 
-    def _admit(self, candidate: Candidate) -> None:
-        """Register an evaluated candidate; archive it if it scored."""
-        self.state.register(candidate)
-        if candidate.performance is not None:
-            candidate.descriptor = descriptor(candidate)
-            self.state.islands[candidate.island].insert(candidate, candidate.generation)
-            self.state.update_best(candidate)
-
     def init_population(self) -> EvolutionState:
         """Evaluate the configured seeds and plant them on every island."""
         if self.state.candidates:
@@ -372,7 +368,7 @@ class EvolutionRun:
             errors[name] = report.mean_relative_error
         for island in self.state.islands:
             for name in self.config.seeds:
-                self._admit(Candidate(
+                self.state.admit(Candidate(
                     id=self._next_id(),
                     source=seed_source(name),
                     island=island.island_id,
@@ -448,7 +444,7 @@ class EvolutionRun:
         call sees this thread's waiting as evaluation.
         """
         report = evaluate_candidate(child, self.instances, self.runner_cfg, runs)
-        self._admit(child)
+        self.state.admit(child)
         parent = self.state.candidates[child.parent_id]
 
         error = report.mean_relative_error
@@ -517,15 +513,8 @@ class EvolutionRun:
             where = f": island {i} " if self.config.per_island_prompts else ": "
             self.events += [event.replace(": ", where, 1) for event in events if event]
 
-        if (
-            self.config.migration_interval > 0
-            and generation % self.config.migration_interval == 0
-            and len(self.state.islands) > 1
-        ):
-            mig = arch.migrate(
-                self.state,
-                MigrationConfig(migrants_per_event=self.config.migrants_per_event),
-            )
+        if _migrates(self.config, generation):
+            mig = arch.migrate(self.state, self.config.migrants_per_event)
             accepted = sum(1 for *_rest, outcome in mig.offers if outcome != arch.REJECTED)
             self.events.append(
                 f"gen {generation}: migration, {len(mig.offers)} offers, {accepted} accepted"
@@ -611,10 +600,10 @@ class EvolutionRun:
     # -- checkpointing ----------------------------------------------------
 
     def _append_journals(self) -> None:
-        """Journal what the run registered, logged and recorded since the last call; sync it."""
+        """Journal what the run registered and recorded since the last call; sync it."""
         if self._journals is None:  # a fresh run
             self._journals = {name: Journal(self.out / name) for name in JOURNALS}
-        sources, candidates, archive, experience, prompts, events = (
+        sources, candidates, experience, prompts, events = (
             self._journals[name] for name in JOURNALS)
         new_sources, lines = [], []
         for c in itertools.islice(self.state.candidates.values(), candidates.lines, None):
@@ -625,10 +614,6 @@ class EvolutionRun:
             lines.append({**dataclasses.asdict(c), "source": digest})
         sources.append(new_sources)
         candidates.append(lines)
-        islands = self.state.islands
-        archive.append([dataclasses.asdict(e)
-                        for isl, done in zip(islands, self._logged) for e in isl.log[done:]])
-        self._logged = [len(isl.log) for isl in islands]
         records = self.experience.records[experience.lines:]
         experience.append([dataclasses.asdict(r) for r in records])
         prompts.append([{"prompt": i, **dataclasses.asdict(v)}
@@ -669,8 +654,8 @@ class EvolutionRun:
         The run directory is the checkpoint's grandparent (``<run>/checkpoints/gen-NNNN.json``).
         Everything is read and checked before any file is written: bad content, a journal
         that differs from what the checkpoint counts, or a candidate whose source the
-        counted sources do not hold is a ConfigError. The best candidate, the seeds'
-        errors and the next candidate id come from the candidates.
+        counted sources do not hold is a ConfigError. The islands' cells, the best
+        candidate, the seeds' errors and the next candidate id come from the candidates.
         """
         root = Path(path).parent.parent
         try:
@@ -685,40 +670,47 @@ class EvolutionRun:
             sources = {_source_sha256(s): s
                        for s in _decode_lines(str, SOURCE_JOURNAL, prefixes[SOURCE_JOURNAL])}
             registered = _decode_lines(Candidate, CANDIDATE_JOURNAL, prefixes[CANDIDATE_JOURNAL])
-            candidates: dict[str, Candidate] = {}
-            for i, candidate in enumerate(registered, start=1):
-                # ids in sequence: unique, and the next one is c{len(candidates):06d}
-                if candidate.id != f"c{i - 1:06d}":
-                    raise ConfigError(f"{CANDIDATE_JOURNAL} line {i}: {candidate.id!r} is out "
-                                      f"of sequence, expected 'c{i - 1:06d}'")
-                if candidate.source not in sources:
-                    raise ConfigError(f"{CANDIDATE_JOURNAL} line {i}: {SOURCE_JOURNAL} holds "
-                                      f"no source with sha256 {candidate.source!r}")
-                candidate.source = sources[candidate.source]
-                candidates[candidate.id] = candidate
             seeds = registered[:len(config.seeds)]
             if len(seeds) < len(config.seeds) or any(
                 c.island != 0 or c.strategy_used != "seed" or c.performance is None for c in seeds
             ):
                 raise ConfigError(f"{CANDIDATE_JOURNAL} must open with island 0's scored seeds, "
                                   "one per config seed")
-            logs: list[list[LogEntry]] = [[] for _ in range(config.islands)]
-            entries = _decode_lines(LogEntry, ARCHIVE_JOURNAL, prefixes[ARCHIVE_JOURNAL])
-            for i, entry in enumerate(entries, start=1):
-                if not 0 <= entry.island < config.islands:
-                    raise ConfigError(f"{ARCHIVE_JOURNAL} line {i}: the run has no island "
-                                      f"{entry.island}")
-                logs[entry.island].append(entry)
-            rng = random.Random()
+            state = EvolutionState.fresh(config.islands, config.rng_seed)
             try:
-                rng.setstate(ckpt.state.rng_state)
+                state.rng.setstate(ckpt.state.rng_state)
             except (ValueError, OverflowError) as exc:
                 raise ConfigError(f"state/rng_state: {exc}") from None
-            islands = [arch.replay_log(log, candidates, i) for i, log in enumerate(logs)]
-            state = EvolutionState(islands, rng, ckpt.state.generation,
-                                   stagnation=ckpt.state.stagnation, candidates=candidates)
-            for candidate in registered:  # in the order _admit met them
-                state.update_best(candidate)
+            state.generation, state.stagnation = ckpt.state.generation, ckpt.state.stagnation
+            # Admit the candidates as the run did, each generation's migration once the
+            # generation's candidates are all in: that rebuilds every island's cells.
+            done = 0  # the generations below this one are all in
+            for i, c in enumerate(registered, start=1):
+                where = f"{CANDIDATE_JOURNAL} line {i}"
+                # ids in sequence: unique, and the next one is c{len(state.candidates):06d}
+                if c.id != f"c{i - 1:06d}":
+                    raise ConfigError(f"{where}: {c.id!r} is out of sequence, "
+                                      f"expected 'c{i - 1:06d}'")
+                if c.source not in sources:
+                    raise ConfigError(f"{where}: {SOURCE_JOURNAL} holds no source with "
+                                      f"sha256 {c.source!r}")
+                c.source = sources[c.source]
+                if not 0 <= c.island < config.islands:
+                    raise ConfigError(f"{where}: the run has no island {c.island}")
+                if not done <= c.generation <= state.generation:
+                    raise ConfigError(f"{where}: generation {c.generation} is out of order, "
+                                      f"expected {done} to {state.generation}")
+                cell = None if c.performance is None else descriptor(c)
+                if c.descriptor != cell:
+                    raise ConfigError(f"{where}: descriptor {c.descriptor} should be {cell}")
+                for generation in range(done, c.generation):
+                    if _migrates(config, generation):
+                        arch.migrate(state, config.migrants_per_event)
+                done = c.generation
+                state.admit(c)
+            for generation in range(done, state.generation + 1):
+                if _migrates(config, generation):
+                    arch.migrate(state, config.migrants_per_event)
             prompts = ckpt.prompts
             n_prompts = config.islands if config.per_island_prompts else 1
             if len(prompts) != n_prompts:
@@ -788,8 +780,13 @@ class EvolutionRun:
             write_atomic(self.out / name, data)
         self._stored.update(sources)
         self._journals = {name: Journal(self.out / name, data) for name, data in prefixes.items()}
-        self._logged = [len(isl.log) for isl in self.state.islands]
         self._versioned = [len(p.versions) for p in self.prompts]
+
+
+def _migrates(config: RunConfig, generation: int) -> bool:
+    """Whether the islands exchange elites at the end of ``generation``."""
+    interval = config.migration_interval
+    return config.islands > 1 and interval > 0 and generation > 0 and generation % interval == 0
 
 
 def resume(checkpoint: str | Path, out_dir: str | Path | None = None,

@@ -86,6 +86,15 @@ def test_cmd_run_missing_instance_dir(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_cmd_run_refused_at_start_leaves_no_out_dir(tmp_path, capsys):
+    script = write_mock_script(tmp_path / "s.jsonl", flat=["x"])
+    cfg = write_config(tmp_path, bpp_dir(tmp_path), script)  # a tsp config
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: instance set is bpp, config says tsp\n"
+    assert not out.exists()
+
+
 def test_cmd_run_reruns_identically(tmp_path):
     inst = bench_dir(tmp_path)
     responses = [fenced(seed_source("nearest-neighbor"))] * 4
@@ -137,9 +146,10 @@ def test_cmd_eval_unknown_target(tmp_path, capsys):
 
 def test_cmd_eval_bad_runner_value_exit_1(tmp_path, capsys):
     inst = bpp_dir(tmp_path)
-    for flag, message in (("--workers", "workers must be >= 1"),
-                          ("--timeout", "timeout must be positive")):
-        assert main(["eval", "--target", "first-fit", "--instances", str(inst), flag, "0"]) == 1
+    for flag, value, message in (("--workers", "0", "workers must be >= 1"),
+                                 ("--timeout", "0", "timeout must be positive"),
+                                 ("--timeout", "inf", "timeout must be at most 2000000 s")):
+        assert main(["eval", "--target", "first-fit", "--instances", str(inst), flag, value]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
@@ -363,7 +373,6 @@ def test_cmd_run_resume_malformed_checkpoint_exit_1(tmp_path, capsys):
         "dangling-child": journal("experience.jsonl", 0, lambda r: r.update(child_id="c999999")),
         "dangling-parent": journal("experience.jsonl", 0,
                                    lambda r: r.update(parent_id="c999999")),
-        "log-mismatch": journal("archive.jsonl", 0, lambda r: r.update(outcome="rejected")),
         "repair-of-seed": edited(
             lambda d: d["counters"]["pending_repair"].update({"0": "c000000"})
         ),
@@ -372,7 +381,15 @@ def test_cmd_run_resume_malformed_checkpoint_exit_1(tmp_path, capsys):
         ),
         "no-prompts": edited(lambda d: d.update(prompts=[])),
         "unknown-version": edited(lambda d: d["prompts"][0].update(current_id=99)),
-        "no-such-island": journal("archive.jsonl", 0, lambda r: r.update(island=2)),
+        # candidates.jsonl lines 3 and 4 are the offspring of islands 0 and 1 at generation 1
+        "no-such-island": journal("candidates.jsonl", 3, lambda r: r.update(island=2)),
+        "negative-island": journal("candidates.jsonl", 3, lambda r: r.update(island=-1)),
+        "generation-out-of-order": journal("candidates.jsonl", 3,
+                                           lambda r: r.update(generation=0)),
+        "generation-past-checkpoint": journal("candidates.jsonl", 3,
+                                              lambda r: r.update(generation=2)),
+        "wrong-descriptor": journal("candidates.jsonl", 2,
+                                    lambda r: r["descriptor"].update(performance_bin=0)),
         "no-such-prompt": journal("prompts.jsonl", 1, lambda v: v.update(prompt=1)),
         "version-out-of-sequence": journal("prompts.jsonl", 1, lambda v: v.update(id=2)),
         "unheld-discard": edited(lambda d: d["prompts"][0].update(discarded=[2])),
@@ -382,7 +399,7 @@ def test_cmd_run_resume_malformed_checkpoint_exit_1(tmp_path, capsys):
         "unknown-cursor-key": edited(lambda d: d["llm_state"].update(bogus=0)),
         "bad-optimum-value": edited(lambda d: d["counters"]["optima"].update({"0" * 64: -4})),
         "bad-optimum-key": edited(lambda d: d["counters"]["optima"].update({"ab12": 4})),
-        "missing-journal-mark": edited(lambda d: d["journals"].pop("archive.jsonl")),
+        "missing-journal-mark": edited(lambda d: d["journals"].pop("experience.jsonl")),
         "source-not-a-hash": journal("candidates.jsonl", 0, lambda r: r.update(source="x")),
         # a source line that no longer hashes as the candidates name it, or is gone
         "changed-source": journal("sources.jsonl", 0, lambda s: s + "# edited\n"),
@@ -391,7 +408,8 @@ def test_cmd_run_resume_malformed_checkpoint_exit_1(tmp_path, capsys):
         # the journals no longer hold what the checkpoint counts
         "truncated-journal": rewrite("experience.jsonl", lambda data: data[:-10]),
         "changed-journal": rewrite(
-            "archive.jsonl", lambda data: data.replace(b'"generation": 0', b'"generation": 1', 1)
+            "candidates.jsonl",
+            lambda data: data.replace(b'"generation": 0', b'"generation": 1', 1)
         ),
         "missing-journal": lambda run: (run / "candidates.jsonl").unlink(),
     }

@@ -154,6 +154,13 @@ def test_config_validation():
         {"temperature": -1.0},
         {"top_p": 0.0},
         {"total_timeout_s": 0.0},
+        {"timeout_s": float("inf")},
+        {"timeout_s": float("nan")},
+        {"timeout_s": 2.2e6},
+        {"total_timeout_s": float("inf")},
+        {"total_timeout_s": 2.2e6},
+        {"temperature": float("nan")},
+        {"temperature": float("inf")},
         {"migration_interval": -1},
         {"experience_window": 0},
         {"migrants_per_event": -1},
@@ -222,8 +229,7 @@ def test_parent_echo_gives_no_improvement_records(tmp_path):
     assert {r.outcome for r in records} == {"no-improvement"}
     assert report.trace == [pytest.approx(58.3333333, abs=1e-5)] * 2
     # equal performance still replaces the incumbent cell (newer material wins)
-    outcomes = [e.outcome for isl in run.state.islands for e in isl.log]
-    assert "replaced" in outcomes
+    assert all(c.strategy_used != "seed" for isl in run.state.islands for _, c in isl.occupied())
 
 
 def test_strictly_better_source_drops_best_error(tmp_path):
@@ -407,6 +413,33 @@ def test_resume_from_every_checkpoint_matches_the_uninterrupted_run(tmp_path):
         assert report_without_wall(out / "report.json") == report, generation
 
 
+def test_a_resume_rebuilds_every_islands_cells(tmp_path):
+    # three islands migrate at generations 2 and 4: checkpoints 2 and 4 fall on a
+    # migration, 1 and 3 between them; two-opt opens a cell that migrants carry on
+    generate = ([fenced(TWO_OPT), fenced(NN), BROKEN, fenced(NN), BROKEN, fenced(NN)]
+                + [fenced(NN), fenced(NN), fenced(TWO_OPT)] + [fenced(NN)] * 3)
+    script = write_mock_script(tmp_path / "s.jsonl", generate=generate, evolve=["m"] * 4)
+    cfg = config_for(tmp_path, script, iterations=4, islands=3)
+
+    def cells(state):
+        return [[(d, c.id) for d, c in isl.occupied()] for isl in state.islands]
+
+    full = EvolutionRun(cfg, out_dir=tmp_path / "full")
+    full.init_population()
+    expected = [cells(full.state)]
+    while full.state.generation < cfg.iterations:
+        full.step()
+        expected.append(cells(full.state))
+    assert sum("migration" in e for e in full.events) == 2
+    assert any(c.island != isl.island_id for isl in full.state.islands for _, c in isl.occupied())
+    for generation in range(cfg.iterations + 1):
+        checkpoint = tmp_path / "full" / "checkpoints" / f"gen-{generation:04d}.json"
+        resumed = EvolutionRun.from_checkpoint(checkpoint, out_dir=tmp_path / f"r{generation}")
+        assert cells(resumed.state) == expected[generation], generation
+        resumed.run()
+        assert cells(resumed.state) == expected[-1], generation
+
+
 def plain_bench_dir(tmp_path, trap4=TRAP4, sidecar=""):
     """trap4 and square, with only the optima the sidecar text gives; the oracle fills the rest."""
     inst = tmp_path / "plain"
@@ -585,11 +618,11 @@ def test_checkpoint_holds_only_stored_counters(tmp_path):
     run_generations(tmp_path, [fenced(NN)] * 2, islands=2, iterations=1)
     path = tmp_path / "out" / "checkpoints" / "gen-0001.json"
     doc = json.loads(path.read_text())
-    assert doc["version"] == 10
+    assert doc["version"] == 11
     assert sorted(doc["counters"]) == ["llm_calls", "optima", "pending_repair"]
-    doc["version"] = 9
+    doc["version"] = 10
     path.write_text(json.dumps(doc))
-    with pytest.raises(ConfigError, match="unsupported version 9"):
+    with pytest.raises(ConfigError, match="unsupported version 10"):
         EvolutionRun.from_checkpoint(path)
 
 
@@ -693,8 +726,8 @@ def test_checkpoint_holds_offsets_not_the_run(tmp_path):
             "bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()
         }
     assert len((out / "candidates.jsonl").read_text().splitlines()) == len(run.state.candidates)
-    logged = sum(len(isl.log) for isl in run.state.islands)
-    assert len((out / "archive.jsonl").read_text().splitlines()) == logged
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [*JOURNALS, "best_candidate.py", "checkpoints", "report.json"])
     assert len((out / "experience.jsonl").read_text().splitlines()) == 4
     # each distinct source once, named in candidates.jsonl by its sha256
     sources = [json.loads(line) for line in (out / "sources.jsonl").read_text().splitlines()]
@@ -843,9 +876,9 @@ def test_outcomes_apply_in_island_order_when_a_later_island_finishes_first(tmp_p
     inserted: list[str] = []
     insert = archive.IslandArchive.insert
 
-    def recording_insert(self, candidate, generation=0):
+    def recording_insert(self, candidate):
         inserted.append(candidate.id)
-        return insert(self, candidate, generation)
+        return insert(self, candidate)
 
     generate = [fenced(NN), fenced(TWO_OPT)]
     script = write_mock_script(tmp_path / "s.jsonl", generate=generate, evolve=["m"])
@@ -957,7 +990,7 @@ sys.stdout.write(json.dumps({"bins": bins}))
 """
 
 
-def test_bpp_run_with_novel_evolved_heuristic(tmp_path):
+def test_bpp_run_with_novel_evolved_heuristic(tmp_path, monkeypatch):
     # first-fit needs 4 bins here; the optimum (filled by the oracle, no
     # sidecar) is 3, and a decreasing-order rewrite reaches it
     inst = tmp_path / "bpp"
@@ -970,18 +1003,25 @@ def test_bpp_run_with_novel_evolved_heuristic(tmp_path):
         tmp_path, script, problem="bpp", instances=str(inst), seeds=seeds,
         islands=2, iterations=2,
     )
+    seed_outcomes: dict[int, list[str]] = {0: [], 1: []}
+    insert = archive.IslandArchive.insert
+
+    def recording_insert(self, candidate):
+        outcome = insert(self, candidate)
+        if candidate.generation == 0:
+            seed_outcomes[self.island_id].append(outcome)
+        return outcome
+
+    monkeypatch.setattr(archive.IslandArchive, "insert", recording_insert)
     run = EvolutionRun(cfg, out_dir=tmp_path / "out")
     report = run.run()
     assert set(report.base_errors) == set(seeds)
     base = pytest.approx(100 * (4 - 3) / 3, abs=1e-9)
     assert all(report.base_errors[s] == base for s in seeds)
     # the four equal-performance seeds collide into one cell per island
-    # (three replacements in the log), the evolved candidate opens a second
+    # (three replacements), the evolved candidate opens a second
     for isl in run.state.islands:
-        seed_log = [e for e in isl.log if e.generation == 0]
-        assert [e.outcome for e in seed_log] == [
-            "accepted-new", "replaced", "replaced", "replaced"
-        ]
+        assert seed_outcomes[isl.island_id] == ["accepted-new", "replaced", "replaced", "replaced"]
         assert len(isl.cells) == 2
     assert report.trace[0] == base
     assert report.trace[1] == 0.0
