@@ -62,18 +62,14 @@ class EvolutionState:
     """All islands plus the shared bookkeeping the loop needs."""
 
     islands: list[IslandArchive]
-    rng: random.Random
     generation: int = 0
     best_so_far: Candidate | None = None
     stagnation: int = 0
     candidates: dict[str, Candidate] = field(default_factory=dict)
 
     @classmethod
-    def fresh(cls, n_islands: int, seed: int) -> "EvolutionState":
-        return cls(
-            islands=[IslandArchive(island_id=i) for i in range(n_islands)],
-            rng=random.Random(seed),
-        )
+    def fresh(cls, n_islands: int) -> "EvolutionState":
+        return cls(islands=[IslandArchive(island_id=i) for i in range(n_islands)])
 
     def admit(self, candidate: Candidate) -> None:
         """Register an evaluated candidate; if it scored, map it, archive it on its

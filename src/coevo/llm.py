@@ -110,15 +110,19 @@ class MockBackend:
 
 
 Transport = Callable[[str, bytes, dict, float], tuple[int, bytes]]
+# The longest reply body read; a max_tokens = 4096 envelope is a small fraction of it.
+MAX_REPLY_BYTES = 16 * 1024 * 1024
 
 
 def _urllib_transport(url: str, data: bytes, headers: dict, timeout_s: float) -> tuple[int, bytes]:
+    """POST ``data``; the status and at most MAX_REPLY_BYTES + 1 bytes of the body."""
     req = urllib.request.Request(url, data=data, headers=headers, method="POST")
     try:
         with urllib.request.urlopen(req, timeout=timeout_s) as resp:
-            return resp.status, resp.read()
+            return resp.status, resp.read(MAX_REPLY_BYTES + 1)
     except urllib.error.HTTPError as exc:
-        return exc.code, exc.read()
+        with exc:
+            return exc.code, exc.read(MAX_REPLY_BYTES + 1)
     except (urllib.error.URLError, OSError) as exc:
         raise TransportError(str(exc)) from exc
 
@@ -154,6 +158,8 @@ class HttpBackend:
             self.endpoint, json.dumps(body).encode("utf-8"), headers, self.timeout_s
         )
         latency = time.monotonic() - started
+        if len(payload) > MAX_REPLY_BYTES:  # the same endpoint would answer the same way again
+            raise MalformedEnvelopeError(f"reply exceeds {MAX_REPLY_BYTES} bytes")
         if status >= 500:
             raise TransportError(f"server error {status}")
         if status != 200:

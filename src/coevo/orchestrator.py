@@ -8,9 +8,10 @@ the start of the generation, one after another, and each island's
 evaluation runs on the generation's pool while the next island waits on
 its LLM call; outcomes are then applied in island order. The prompt then
 evolves from the generation's experience and islands exchange elites on the
-migration schedule. With the mock backend and a fixed seed the whole run is
-reproducible bit for bit, and every generation is checkpointed for exact
-resume.
+migration schedule. Each generation draws its islands, parents and
+strategies from its own RNG, seeded with ``"<rng_seed>/<generation>"``, so
+with the mock backend and a fixed seed the whole run is reproducible bit for
+bit, and every generation is checkpointed for exact resume.
 
 A run directory holds five append-only journals: ``sources.jsonl`` (each
 distinct candidate source once, as a JSON string), ``candidates.jsonl`` (one
@@ -32,6 +33,7 @@ import itertools
 import json
 import math
 import os
+import random
 import re
 import time
 import typing
@@ -74,7 +76,7 @@ from .promptevo import (
 )
 from .seeds import SEEDS, seed_source
 
-CHECKPOINT_VERSION = 11
+CHECKPOINT_VERSION = 12
 REPORT_VERSION = 1
 SOURCE_JOURNAL = "sources.jsonl"
 CANDIDATE_JOURNAL = "candidates.jsonl"
@@ -295,7 +297,7 @@ class EvolutionRun:
             total_timeout_s=config.total_timeout_s,
             workers=config.parallelism,
         )
-        self.state = EvolutionState.fresh(config.islands, config.rng_seed)
+        self.state = EvolutionState.fresh(config.islands)
         self.experience = ExperienceStore(self.state.candidates)
         n_prompts = config.islands if config.per_island_prompts else 1
         self.prompts = [PromptState.initial(config.problem) for _ in range(n_prompts)]
@@ -383,14 +385,16 @@ class EvolutionRun:
         self,
         island_idx: int,
         generation: int,
+        rng: random.Random,
         stats: dict[str, float],
         summary: ExperienceSummary,
         pool: Executor,
     ) -> tuple[Candidate, list[Future]] | None:
         """Ask the LLM for one island's offspring and queue its evaluation on ``pool``.
 
-        ``stats`` and ``summary`` are the experience at the start of the
-        generation. None, with an event where there is one, when nothing came back.
+        ``rng`` is the generation's; ``stats`` and ``summary`` are the experience at
+        the start of the generation. None, with an event where there is one, when
+        nothing came back.
         """
         island = self.state.islands[island_idx]
         if not island.cells:
@@ -409,12 +413,8 @@ class EvolutionRun:
             epsilon = arch.epsilon_schedule(
                 self.state.stagnation, cfg.epsilon_base, cfg.epsilon_raised, cfg.stagnation_window
             )
-            parent = arch.select_parent(
-                island, self.state.rng, epsilon, self.state.candidates
-            )
-            strategy = sample_strategy(
-                stats, temperature=self.config.strategy_temperature, rng=self.state.rng
-            )
+            parent = arch.select_parent(island, rng, epsilon, self.state.candidates)
+            strategy = sample_strategy(stats, temperature=cfg.strategy_temperature, rng=rng)
             strategy_name = strategy.name
 
         prompt = compose_prompt(pstate, strategy, parent, summary, failure)
@@ -474,8 +474,10 @@ class EvolutionRun:
         if not self.state.candidates:
             raise ConfigError("run not initialized; call init_population first")
         generation = self.state.generation + 1
+        # a str seed goes through sha512: the same draws in any process, on any Python version
+        rng = random.Random(f"{self.config.rng_seed}/{generation}")
         if self.config.island_per_iteration:
-            island_ids = [arch.select_island(self.state, self.state.rng)]
+            island_ids = [arch.select_island(self.state, rng)]
         else:
             island_ids = [isl.island_id for isl in self.state.islands]
 
@@ -486,7 +488,7 @@ class EvolutionRun:
         # answers each island the same way on every run
         pool = ThreadPoolExecutor(max_workers=self.config.parallelism)
         try:
-            planned = [self._plan(i, generation, stats, summary, pool) for i in island_ids]
+            planned = [self._plan(i, generation, rng, stats, summary, pool) for i in island_ids]
             for offspring in filter(None, planned):
                 self._apply(*offspring)
         finally:
@@ -630,15 +632,13 @@ class EvolutionRun:
         doc = dataclasses.asdict(Checkpoint(
             version=CHECKPOINT_VERSION,
             config=self.config,
-            state=SavedState(self.state.generation, self.state.stagnation, rng_state=()),
+            state=SavedState(self.state.generation, self.state.stagnation),
             prompts=[dataclasses.replace(p, versions=[]) for p in self.prompts],
             llm_state=self.backend.state_dict() if isinstance(self.backend, MockBackend) else {},
             counters=Counters(self.llm_calls, self.optima,
                               {str(k): v for k, v in self.pending_repair.items()}),
             journals={name: journal.mark() for name, journal in self._journals.items()},
         ))
-        # set after asdict, which would copy the 625 words of the RNG state one by one
-        doc["state"]["rng_state"] = self.state.rng.getstate()
         path = self.out / "checkpoints" / f"gen-{self.state.generation:04d}.json"
         write_atomic(path, json.dumps(doc, sort_keys=True))
 
@@ -676,11 +676,7 @@ class EvolutionRun:
             ):
                 raise ConfigError(f"{CANDIDATE_JOURNAL} must open with island 0's scored seeds, "
                                   "one per config seed")
-            state = EvolutionState.fresh(config.islands, config.rng_seed)
-            try:
-                state.rng.setstate(ckpt.state.rng_state)
-            except (ValueError, OverflowError) as exc:
-                raise ConfigError(f"state/rng_state: {exc}") from None
+            state = EvolutionState.fresh(config.islands)
             state.generation, state.stagnation = ckpt.state.generation, ckpt.state.stagnation
             # Admit the candidates as the run did, each generation's migration once the
             # generation's candidates are all in: that rebuilds every island's cells.
@@ -819,7 +815,6 @@ class SavedState:
 
     generation: int
     stagnation: int
-    rng_state: tuple[int, tuple[int, ...], float | None]
 
 
 @dataclass

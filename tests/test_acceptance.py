@@ -203,7 +203,7 @@ def test_criterion_07_migration_safety():
     budget = Budget("7 migration safety", 5.0)
     rng = random.Random(707)
     for trial in range(1000):
-        state = EvolutionState.fresh(2, seed=trial)
+        state = EvolutionState.fresh(2)
         for island in state.islands:
             for k in range(rng.randint(1, 5)):
                 island.insert(

@@ -112,25 +112,27 @@ def test_cell_performance_monotone_under_random_sequences():
 
 
 def test_select_island_single_nonempty():
-    state = EvolutionState.fresh(3, seed=0)
+    state = EvolutionState.fresh(3)
     state.islands[1].insert(scored("c1", -1.0))
+    rng = random.Random(0)
     for _ in range(20):
-        assert select_island(state, state.rng) == 1
+        assert select_island(state, rng) == 1
 
 
 def test_select_island_empty_errors():
-    state = EvolutionState.fresh(2, seed=0)
+    state = EvolutionState.fresh(2)
     with pytest.raises(ValueError, match="empty"):
-        select_island(state, state.rng)
+        select_island(state, random.Random(0))
 
 
 def test_select_island_uniform_chi_square():
-    state = EvolutionState.fresh(5, seed=7)
+    state = EvolutionState.fresh(5)
     for i in range(5):
         state.islands[i].insert(scored(f"c{i}", -1.0))
+    rng = random.Random(7)
     counts = [0] * 5
     for _ in range(10000):
-        counts[select_island(state, state.rng)] += 1
+        counts[select_island(state, rng)] += 1
     expected = 10000 / 5
     chi2 = sum((c - expected) ** 2 / expected for c in counts)
     assert chi2 < CHI2_CRIT_DF4_P01
@@ -207,9 +209,8 @@ def test_epsilon_schedule():
 # --- migration --------------------------------------------------------------------
 
 
-def two_island_state(seed=0):
-    state = EvolutionState.fresh(2, seed=seed)
-    return state
+def two_island_state():
+    return EvolutionState.fresh(2)
 
 
 def test_migrate_into_empty_cell_accepted():
@@ -244,7 +245,7 @@ def test_migrant_strictly_better_replaces():
 def test_migration_never_decreases_target_cells():
     rng = random.Random(3)
     for _ in range(200):
-        state = EvolutionState.fresh(2, seed=rng.randrange(10**6))
+        state = EvolutionState.fresh(2)
         for island in state.islands:
             for k in range(rng.randrange(1, 6)):
                 island.insert(
@@ -265,7 +266,7 @@ def test_migration_never_decreases_target_cells():
 
 
 def test_migrate_single_island_noop():
-    state = EvolutionState.fresh(1, seed=0)
+    state = EvolutionState.fresh(1)
     state.islands[0].insert(scored("c", -1.0))
     assert migrate(state).offers == []
 
@@ -283,7 +284,7 @@ def test_migrants_per_event_config():
 
 
 def test_update_best_tracks_max_over_cells():
-    state = EvolutionState.fresh(2, seed=0)
+    state = EvolutionState.fresh(2)
     a = scored("a", -5.0)
     b = scored("b", -2.0, 1, 0)
     state.islands[0].insert(a)
@@ -299,17 +300,18 @@ def test_update_best_tracks_max_over_cells():
 
 
 def test_state_roundtrip_preserves_rng_stream(tmp_path):
-    # a checkpoint holds the generation, stagnation and RNG state; the journals the rest
+    # a checkpoint holds the generation and stagnation; the journals the rest, and
+    # each generation's draws come from the config's rng_seed and its number
     inst = tmp_path / "instances"
     inst.mkdir()
     write_tsp_file(inst / "trap4.tsp", "trap4", TRAP4)
     (inst / "optima.txt").write_text("trap4 6\n")
-    # generation 1 improves on the seed, generation 2 does not
+    # generation 1 improves on the seed, generations 2 and 3 do not
     generate = [f"```python\n{seed_source(name)}\n```"
-                for name in ("two-opt", "nearest-neighbor", "nearest-neighbor", "nearest-neighbor")]
-    script = write_mock_script(tmp_path / "s.jsonl", generate=generate, evolve=["m"] * 2)
-    cfg = RunConfig(instances=str(inst), iterations=2, islands=2, timeout_s=30.0, rng_seed=9,
-                    mock_script=str(script))
+                for name in ("two-opt",) + ("nearest-neighbor",) * 5]
+    script = write_mock_script(tmp_path / "s.jsonl", generate=generate, evolve=["m"] * 3)
+    cfg = RunConfig(instances=str(inst), iterations=3, islands=2, timeout_s=30.0, rng_seed=9,
+                    epsilon_base=1.0, mock_script=str(script))
     run = EvolutionRun(cfg, out_dir=tmp_path / "out")
     run.init_population()
     run.step()
@@ -317,11 +319,19 @@ def test_state_roundtrip_preserves_rng_stream(tmp_path):
     state = run.state
     assert state.stagnation == 1
 
-    clone = EvolutionRun.from_checkpoint(tmp_path / "out" / "checkpoints" / "gen-0002.json").state
+    resumed = EvolutionRun.from_checkpoint(tmp_path / "out" / "checkpoints" / "gen-0002.json")
+    clone = resumed.state
     assert clone.generation == 2
     assert clone.stagnation == 1
     assert clone.best_so_far is clone.candidates[state.best_so_far.id]
     for island, twin in zip(state.islands, clone.islands):
         assert [(d, c.id) for d, c in twin.occupied()] == [(d, c.id) for d, c in island.occupied()]
-    assert clone.rng.getstate() == state.rng.getstate()
-    assert clone.rng.random() == state.rng.random()
+
+    def drawn(r):  # the island, parent and strategy of each offspring of generation 3
+        return [(c.island, c.parent_id, c.strategy_used)
+                for c in r.state.candidates.values() if c.generation == 3]
+
+    run.step()
+    resumed.step()
+    assert drawn(resumed) == drawn(run)
+    assert len(drawn(run)) == 2

@@ -1,9 +1,17 @@
+import http.server
 import json
+import threading
 
 import pytest
 
 from conftest import write_mock_script
-from coevo.errors import EmptyResponseError, MockScriptError, TransportError
+from coevo import llm
+from coevo.errors import (
+    EmptyResponseError,
+    MalformedEnvelopeError,
+    MockScriptError,
+    TransportError,
+)
 from coevo.llm import (
     CompletionRequest,
     CompletionResponse,
@@ -197,6 +205,71 @@ def test_http_backend_retries_server_errors():
     backend = HttpBackend("http://example.test", transport=transport)
     assert complete(backend, req(), retries=3, backoff_s=0).text == "late"
     assert calls["n"] == 3
+
+
+# --- urllib transport, against a server on the loopback -------------------------------
+
+
+class ScriptedHandler(http.server.BaseHTTPRequestHandler):
+    """Answers each POST with the server's next (status, body) reply."""
+
+    def do_POST(self):
+        self.server.bodies.append(json.loads(self.rfile.read(int(self.headers["Content-Length"]))))
+        status, body = self.server.replies.pop(0)
+        self.send_response(status)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def server():
+    srv = http.server.HTTPServer(("127.0.0.1", 0), ScriptedHandler)
+    srv.replies, srv.bodies = [], []
+    thread = threading.Thread(target=srv.serve_forever, kwargs={"poll_interval": 0.02})
+    thread.start()
+    yield srv
+    srv.shutdown()
+    thread.join()
+    srv.server_close()
+
+
+def live_backend(srv):
+    return HttpBackend(f"http://127.0.0.1:{srv.server_port}/v1/chat", timeout_s=10.0)
+
+
+ENVELOPE = json.dumps({"choices": [{"message": {"content": "over the wire"}}]}).encode()
+
+
+def test_urllib_transport_parses_a_200_reply(server):
+    server.replies.append((200, ENVELOPE))
+    response = complete(live_backend(server), req(model="m"))
+    assert response.text == "over the wire"
+    assert server.bodies[0]["messages"] == [{"role": "user", "content": "hi"}]
+    assert server.bodies[0]["model"] == "m"
+
+
+def test_urllib_transport_retries_a_500(server):
+    server.replies += [(500, b"busy"), (200, ENVELOPE)]
+    assert complete(live_backend(server), req(), retries=3, backoff_s=0).text == "over the wire"
+    assert len(server.bodies) == 2
+
+
+def test_a_reply_over_the_cap_is_refused_and_not_retried(server, monkeypatch):
+    monkeypatch.setattr(llm, "MAX_REPLY_BYTES", len(ENVELOPE))
+    server.replies += [(200, ENVELOPE), (200, ENVELOPE + b" "), (500, ENVELOPE + b" "),
+                       (200, ENVELOPE * 10)]
+    assert complete(live_backend(server), req()).text == "over the wire"  # at the cap
+    for _ in range(2):
+        with pytest.raises(MalformedEnvelopeError, match=f"exceeds {len(ENVELOPE)} bytes"):
+            complete(live_backend(server), req(), retries=3, backoff_s=0)
+    assert len(server.bodies) == 3
+    url = f"http://127.0.0.1:{server.server_port}/"
+    status, payload = llm._urllib_transport(url, b"{}", {}, 10.0)  # reads no more than it keeps
+    assert (status, payload) == (200, (ENVELOPE * 10)[:len(ENVELOPE) + 1])
 
 
 # --- extract_code -------------------------------------------------------------------

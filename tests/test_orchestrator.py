@@ -413,6 +413,37 @@ def test_resume_from_every_checkpoint_matches_the_uninterrupted_run(tmp_path):
         assert report_without_wall(out / "report.json") == report, generation
 
 
+def rng_config(tmp_path, **kw):
+    """Every draw a run makes: the island of each generation, a parent among the island's
+    two seeded cells (exploitation would take two-opt's every time), and a strategy."""
+    generate = [fenced(NN), fenced(TWO_OPT)] * 3
+    script = write_mock_script(tmp_path / "s.jsonl", generate=generate, evolve=["m"] * 6)
+    return config_for(tmp_path, script, iterations=6, islands=2, island_per_iteration=True,
+                      seeds=("nearest-neighbor", "two-opt"), epsilon_base=0.5, **kw)
+
+
+def test_a_resume_from_every_checkpoint_draws_as_the_uninterrupted_run(tmp_path):
+    cfg = rng_config(tmp_path)
+    full = EvolutionRun(cfg, out_dir=tmp_path / "full")
+    full.run()
+    offspring = [c for c in full.state.candidates.values() if c.strategy_used != "seed"]
+    assert {c.island for c in offspring} == {0, 1}
+    parents = {full.state.candidates[c.parent_id].source.strip() for c in offspring}
+    assert parents == {NN.strip(), TWO_OPT.strip()}  # select_parent's random branch is taken
+    assert len({c.strategy_used for c in offspring}) > 1
+    report = report_without_wall(tmp_path / "full" / "report.json")
+    for generation in range(cfg.iterations + 1):
+        out = tmp_path / f"resumed-{generation}"
+        resume(tmp_path / "full" / "checkpoints" / f"gen-{generation:04d}.json", out_dir=out)
+        assert report_without_wall(out / "report.json") == report, generation
+
+
+def test_the_rng_seed_reaches_the_draws(tmp_path):
+    usage = [EvolutionRun(rng_config(tmp_path, rng_seed=seed)).run().strategy_usage
+             for seed in (1, 2)]
+    assert usage[0] != usage[1]
+
+
 def test_a_resume_rebuilds_every_islands_cells(tmp_path):
     # three islands migrate at generations 2 and 4: checkpoints 2 and 4 fall on a
     # migration, 1 and 3 between them; two-opt opens a cell that migrants carry on
@@ -532,9 +563,7 @@ def test_checkpoint_leaf_mutations_fail_cleanly(tmp_path):
     ckpt = Path("checkpoints") / "gen-0002.json"
     text = (tmp_path / "full" / ckpt).read_text()
     doc = json.loads(text)
-    # the 624 words of the RNG state vector count as one leaf
-    paths = [p for p in checkpoint_leaves(doc)
-             if p[:3] != ("state", "rng_state", 1) or p[3] == 0]
+    paths = list(checkpoint_leaves(doc))
     for name, mark in doc["journals"].items():
         counted = (tmp_path / "full" / name).read_bytes()[:mark["bytes"]]
         for i, line in enumerate(counted.decode().splitlines()):
@@ -618,11 +647,11 @@ def test_checkpoint_holds_only_stored_counters(tmp_path):
     run_generations(tmp_path, [fenced(NN)] * 2, islands=2, iterations=1)
     path = tmp_path / "out" / "checkpoints" / "gen-0001.json"
     doc = json.loads(path.read_text())
-    assert doc["version"] == 11
+    assert doc["version"] == 12
     assert sorted(doc["counters"]) == ["llm_calls", "optima", "pending_repair"]
-    doc["version"] = 10
+    doc["version"] = 11
     path.write_text(json.dumps(doc))
-    with pytest.raises(ConfigError, match="unsupported version 10"):
+    with pytest.raises(ConfigError, match="unsupported version 11"):
         EvolutionRun.from_checkpoint(path)
 
 
@@ -664,6 +693,7 @@ def test_checkpoint_size_does_not_grow_with_the_run(tmp_path):
         last = root / "out" / "checkpoints" / f"gen-{iterations:04d}.json"
         sizes[iterations] = len(last.read_bytes())
     assert abs(sizes[30] - sizes[10]) < 64, sizes
+    assert sizes[30] < 2500, sizes  # no RNG state: each generation's draws derive from its number
 
 
 def test_a_candidate_journal_not_opening_with_the_seeds_is_malformed(tmp_path):
@@ -719,7 +749,7 @@ def test_checkpoint_holds_offsets_not_the_run(tmp_path):
     assert sorted(doc) == [
         "config", "counters", "journals", "llm_state", "prompts", "state", "version"
     ]
-    assert sorted(doc["state"]) == ["generation", "rng_state", "stagnation"]
+    assert sorted(doc["state"]) == ["generation", "stagnation"]
     for name in JOURNALS:
         data = (out / name).read_bytes()
         assert doc["journals"][name] == {
