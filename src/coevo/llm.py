@@ -28,6 +28,7 @@ class CompletionRequest:
     max_tokens: int = 4096
     model: str = "default"
     tag: str = ""  # routing key for keyed mock scripts
+    slot: int | None = None  # the mock script answer reserved for this request
 
     def validate(self) -> None:
         if not self.messages:
@@ -56,7 +57,11 @@ class MockBackend:
 
     The script is either a sequence of texts (consumed in order for every
     request) or a mapping from tag to a sequence, with ``"*"`` as the
-    fallback key.
+    fallback key. ``reserve`` takes the next answer for a tag, in the order
+    callers ask; a request that carries the returned index as its ``slot``
+    gets that answer whenever it runs, so calls made on several threads get
+    their reserved answers whichever runs first. A request without a slot
+    reserves its answer when it runs.
     """
 
     def __init__(self, script: Sequence[str] | Mapping[str, Sequence[str]]):
@@ -89,13 +94,25 @@ class MockBackend:
             return "*"
         raise MockScriptError(f"no scripted responses for tag {tag!r}")
 
+    def reserve(self, tag: str) -> int:
+        """The index of the next answer for ``tag``; the cursor moves past it.
+
+        Past the script's end the index is the script's length, where the cursor
+        stays, so a cursor never lies outside the script.
+        """
+        key = self._key_for(tag)
+        i = self._cursor[key]
+        self._cursor[key] = min(i + 1, len(self._script[key]))
+        return i
+
     def complete_once(self, request: CompletionRequest) -> CompletionResponse:
         key = self._key_for(request.tag)
-        i = self._cursor[key]
-        if i >= len(self._script[key]):
-            raise MockScriptError(f"mock script exhausted for key {key!r} after {i} responses")
-        self._cursor[key] = i + 1
-        return CompletionResponse(text=self._script[key][i])
+        i = self.reserve(request.tag) if request.slot is None else request.slot
+        answers = self._script[key]
+        if i >= len(answers):
+            raise MockScriptError(
+                f"mock script exhausted for key {key!r} after {len(answers)} responses")
+        return CompletionResponse(text=answers[i])
 
     def state_dict(self) -> dict[str, int]:
         """The next response index per script key."""

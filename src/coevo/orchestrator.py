@@ -4,14 +4,17 @@ Each generation, every island selects a parent from its archive, samples a
 mutation strategy from experience, composes a prompt, asks the LLM for an
 offspring, evaluates it in a sandboxed subprocess, records the outcome,
 and archives it if scored. Islands plan from the experience as it stood at
-the start of the generation, one after another, and each island's
-evaluation runs on the generation's pool while the next island waits on
-its LLM call; outcomes are then applied in island order. The prompt then
-evolves from the generation's experience and islands exchange elites on the
-migration schedule. Each generation draws its islands, parents and
-strategies from its own RNG, seeded with ``"<rng_seed>/<generation>"``, so
-with the mock backend and a fixed seed the whole run is reproducible bit for
-bit, and every generation is checkpointed for exact resume.
+the start of the generation, one after another, and their LLM calls run
+together on the generation's own threads; the mock's answers are reserved
+as the calls are planned, so which call ends first changes nothing. Replies
+are taken in island order, and each island's evaluation runs on the
+generation's pool while the next island's reply is awaited; outcomes are
+then applied in island order. The prompt then evolves from the generation's
+experience and islands exchange elites on the migration schedule. Each
+generation draws its islands, parents and strategies from its own RNG,
+seeded with ``"<rng_seed>/<generation>"``, so with the mock backend and a
+fixed seed the whole run is reproducible bit for bit, and every generation
+is checkpointed for exact resume.
 
 A run directory holds five append-only journals: ``sources.jsonl`` (each
 distinct candidate source once, as a JSON string), ``candidates.jsonl`` (one
@@ -35,10 +38,11 @@ import math
 import os
 import random
 import re
+import threading
 import time
 import typing
 from collections import Counter, defaultdict
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
+from concurrent.futures import CancelledError, Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -85,6 +89,9 @@ EVENT_JOURNAL = "events.jsonl"
 JOURNALS = (SOURCE_JOURNAL, CANDIDATE_JOURNAL, EXPERIENCE_JOURNAL, PROMPT_JOURNAL,
             EVENT_JOURNAL)
 _SHA256_HEX = re.compile(r"[0-9a-f]{64}")
+# The most LLM calls of a generation in flight at once: a live endpoint gets at
+# most this many concurrent requests, and many islands start no more threads.
+LLM_THREADS = 8
 
 
 @dataclass
@@ -330,7 +337,7 @@ class EvolutionRun:
     def _prompt_for(self, island: int) -> PromptState:
         return self.prompts[island if self.config.per_island_prompts else 0]
 
-    def _request(self, prompt: str, tag: str) -> CompletionRequest:
+    def _request(self, prompt: str, tag: str, slot: int | None = None) -> CompletionRequest:
         return CompletionRequest(
             messages=(("user", prompt),),
             temperature=self.config.temperature,
@@ -338,19 +345,27 @@ class EvolutionRun:
             max_tokens=self.config.max_tokens,
             model=self.config.model,
             tag=tag,
+            slot=slot,
         )
 
-    def _complete(self, prompt: str, tag: str, generation: int) -> str | None:
-        """One guarded completion; None means the call failed or was capped."""
+    def _call(self, prompt: str, tag: str, calls: Executor) -> Future | None:
+        """Queue one completion on ``calls``; None when the call cap is reached.
+
+        The mock's answer is reserved here, on the planning thread, so it does not
+        depend on which queued call runs first.
+        """
         if self.config.llm_call_cap is not None and self.llm_calls >= self.config.llm_call_cap:
-            self.events.append(f"gen {generation}: llm call cap reached")
             return None
         self.llm_calls += 1
-        try:
-            return complete(self.backend, self._request(prompt, tag)).text
-        except LlmError as exc:
-            self.events.append(f"gen {generation}: llm failure ({exc})")
-            return None
+        slot = None
+        if isinstance(self.backend, MockBackend):
+            try:
+                slot = self.backend.reserve(tag)
+            except LlmError as exc:  # the script has no answers for the tag
+                failed: Future = Future()
+                failed.set_exception(exc)
+                return failed
+        return calls.submit(complete, self.backend, self._request(prompt, tag, slot))
 
     # -- loop phases -----------------------------------------------------
 
@@ -384,17 +399,15 @@ class EvolutionRun:
     def _plan(
         self,
         island_idx: int,
-        generation: int,
         rng: random.Random,
         stats: dict[str, float],
         summary: ExperienceSummary,
-        pool: Executor,
-    ) -> tuple[Candidate, list[Future]] | None:
-        """Ask the LLM for one island's offspring and queue its evaluation on ``pool``.
+        calls: Executor,
+    ) -> Ask | None:
+        """Choose one island's parent and strategy and queue its LLM call on ``calls``.
 
         ``rng`` is the generation's; ``stats`` and ``summary`` are the experience at
-        the start of the generation. None, with an event where there is one, when
-        nothing came back.
+        the start of the generation. None when the island holds no candidate.
         """
         island = self.state.islands[island_idx]
         if not island.cells:
@@ -418,22 +431,36 @@ class EvolutionRun:
             strategy_name = strategy.name
 
         prompt = compose_prompt(pstate, strategy, parent, summary, failure)
-        text = self._complete(prompt, "generate", generation)
-        if text is None:
+        return Ask(island_idx, parent.id, strategy_name, self._call(prompt, "generate", calls))
+
+    def _take(
+        self, ask: Ask, generation: int, pool: Executor
+    ) -> tuple[Candidate, list[Future]] | None:
+        """Wait for a planned island's reply and queue its offspring's evaluation on ``pool``.
+
+        None, with an event, when nothing came back.
+        """
+        if ask.reply is None:
+            self.events.append(f"gen {generation}: llm call cap reached")
+            return None
+        try:
+            text = ask.reply.result().text
+        except LlmError as exc:
+            self.events.append(f"gen {generation}: llm failure ({exc})")
             return None
         try:
             source = extract_code(text)
         except EmptyResponseError:
-            self.events.append(f"gen {generation}: island {island_idx} empty completion")
+            self.events.append(f"gen {generation}: island {ask.island} empty completion")
             return None
 
         child = Candidate(
             id=self._next_id(),
             source=source,
-            parent_id=parent.id,
-            island=island_idx,
+            parent_id=ask.parent_id,
+            island=ask.island,
             generation=generation,
-            strategy_used=strategy_name,
+            strategy_used=ask.strategy,
         )
         return child, start_evaluation(child, self.instances, self.runner_cfg, pool)
 
@@ -484,15 +511,24 @@ class EvolutionRun:
         best_before = self.state.best_so_far.performance
         stats = strategy_stats(self.experience)
         summary = summarize(self.experience, self.config.experience_window)
-        # LLM calls stay on this thread, in island order, so a scripted mock
-        # answers each island the same way on every run
-        pool = ThreadPoolExecutor(max_workers=self.config.parallelism)
+        # Planning, and so every draw and mock reservation, stays on this thread
+        # in island order. The LLM calls run together on their own threads, and
+        # their replies are taken in island order, so the run does not depend on
+        # which call ends first.
+        stop = threading.Event()
+        llm_threads = ThreadPoolExecutor(max_workers=min(len(island_ids), LLM_THREADS),
+                                         thread_name_prefix="coevo-llm")
+        eval_threads = ThreadPoolExecutor(max_workers=self.config.parallelism)
+        calls, pool = _Gated(llm_threads, stop), _Gated(eval_threads, stop)
         try:
-            planned = [self._plan(i, generation, rng, stats, summary, pool) for i in island_ids]
+            asks = [self._plan(i, rng, stats, summary, calls) for i in island_ids]
+            planned = [self._take(ask, generation, pool) for ask in filter(None, asks)]
             for offspring in filter(None, planned):
                 self._apply(*offspring)
         finally:
-            pool.shutdown(cancel_futures=True)  # if planning raised, what it queued never runs
+            stop.set()  # if the step failed, what it queued and did not start never runs
+            llm_threads.shutdown()
+            eval_threads.shutdown()
 
         self.state.generation = generation
         improved = self.state.best_so_far.performance > best_before
@@ -807,6 +843,43 @@ def write_atomic(path: Path, text: str | bytes) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+@dataclass
+class Ask:
+    """One island's offspring as planned: its parent, its strategy and its pending reply."""
+
+    island: int
+    parent_id: str
+    strategy: str
+    reply: Future | None  # its CompletionResponse; None when the call cap was reached
+
+
+class _Gated(Executor):
+    """Submits to ``pool``, with ``stop`` between its jobs and the step.
+
+    A job that has not started when ``stop`` is set never runs, and a job that
+    raises anything but an LlmError sets it, since the step will raise that
+    error. Setting an Event takes no lock that the main thread may hold while
+    it submits, as ``pool.shutdown`` from a pool thread would.
+    """
+
+    def __init__(self, pool: Executor, stop: threading.Event):
+        self.pool, self.stop = pool, stop
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        def gated():
+            if self.stop.is_set():
+                raise CancelledError
+            try:
+                return fn(*args, **kwargs)
+            except LlmError:
+                raise
+            except BaseException:
+                self.stop.set()
+                raise
+
+        return self.pool.submit(gated)
 
 
 @dataclass

@@ -70,6 +70,28 @@ def test_mock_state_roundtrip():
     assert complete(other, req()).text == "B"
 
 
+def test_answers_taken_by_slot_do_not_depend_on_call_order():
+    backend = MockBackend({"generate": ["g0", "g1", "g2"], "prompt-evolve": ["p0"]})
+    slots = [backend.reserve("generate") for _ in range(3)]
+    assert slots == [0, 1, 2]
+    assert backend.state_dict() == {"generate": 3, "prompt-evolve": 0}
+    answers = {slot: backend.complete_once(req(tag="generate", slot=slot)).text
+               for slot in reversed(slots)}
+    assert answers == {0: "g0", 1: "g1", 2: "g2"}
+    assert complete(backend, req(tag="prompt-evolve")).text == "p0"  # no slot: reserves its own
+
+
+def test_a_reservation_past_the_script_end_keeps_the_cursor_there():
+    backend = MockBackend({"generate": ["g0"]})
+    assert [backend.reserve("generate") for _ in range(3)] == [0, 1, 1]
+    assert backend.state_dict() == {"generate": 1}
+    with pytest.raises(MockScriptError, match="exhausted for key 'generate' after 1 responses"):
+        backend.complete_once(req(tag="generate", slot=1))
+    MockBackend({"generate": ["g0"]}).load_state_dict(backend.state_dict())
+    with pytest.raises(MockScriptError, match="no scripted responses for tag 'other'"):
+        backend.reserve("other")
+
+
 # --- request validation --------------------------------------------------------
 
 

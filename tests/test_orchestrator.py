@@ -1000,6 +1000,111 @@ def test_a_failed_plan_cancels_the_queued_evaluations(tmp_path, monkeypatch):
     assert not [t for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor")]
 
 
+def test_a_cap_reached_while_planning_is_logged_in_island_order(tmp_path):
+    # island 0's call comes back empty after island 1 has met the cap: the
+    # events still read in island order
+    script = write_mock_script(tmp_path / "s.jsonl", generate=["   "], evolve=["m"])
+    cfg = config_for(tmp_path, script, iterations=1, islands=2, llm_call_cap=1)
+    run = EvolutionRun(cfg)
+    run.init_population()
+    run.step()
+    assert run.events[:2] == ["gen 1: island 0 empty completion", "gen 1: llm call cap reached"]
+    assert run.llm_calls == 1
+
+
+def test_an_exhausted_script_fails_each_call_and_its_run_resumes(tmp_path):
+    # three answers for two islands over three generations: island 1 runs out
+    # in generation 2, both islands in generation 3
+    script = write_mock_script(tmp_path / "s.jsonl", generate=[fenced(NN)] * 3,
+                               evolve=["m"] * 3)
+    cfg = config_for(tmp_path, script, iterations=3, islands=2)
+    report = EvolutionRun(cfg, out_dir=tmp_path / "full").run()
+    exhausted = "llm failure (mock script exhausted for key 'generate' after 3 responses)"
+    failures = [e for e in report.events if "llm failure" in e]
+    assert failures == [f"gen 2: {exhausted}", f"gen 3: {exhausted}", f"gen 3: {exhausted}"]
+    assert report.generated_per_generation == [2, 1, 0]
+    for generation, cursor in ((1, 2), (2, 3), (3, 3)):
+        ckpt = tmp_path / "full" / "checkpoints" / f"gen-{generation:04d}.json"
+        assert json.loads(ckpt.read_text())["llm_state"]["generate"] == cursor
+        out = tmp_path / f"resumed{generation}"
+        resume(ckpt, out_dir=out)
+        assert (report_without_wall(out / "report.json")
+                == report_without_wall(tmp_path / "full" / "report.json"))
+
+
+def test_a_script_without_generate_answers_fails_every_island(tmp_path):
+    script = write_mock_script(tmp_path / "s.jsonl", evolve=["m"] * 2)
+    cfg = config_for(tmp_path, script, iterations=2, islands=3)
+    report = EvolutionRun(cfg).run()
+    failure = "llm failure (no scripted responses for tag 'generate')"
+    assert [e for e in report.events if "llm failure" in e] == (
+        [f"gen 1: {failure}"] * 3 + [f"gen 2: {failure}"] * 3)
+    assert report.generated_per_generation == [0, 0]
+    assert report.llm_calls == 2 * (3 + 1)
+
+
+def test_the_islands_llm_calls_overlap(tmp_path):
+    # island 0's call waits for island 1's: calls made one after another would
+    # time out; each island still gets the answer reserved for it
+    island1_asked = threading.Event()
+
+    class WaitingBackend(MockBackend):
+        def complete_once(self, request):
+            if request.tag == "generate" and request.slot == 0:
+                if not island1_asked.wait(10):
+                    raise AssertionError("island 1 was not asked while island 0 waited")
+            elif request.tag == "generate" and request.slot == 1:
+                island1_asked.set()
+            return super().complete_once(request)
+
+    script = write_mock_script(tmp_path / "s.jsonl", generate=[fenced(NN), fenced(TWO_OPT)],
+                               evolve=["m"])
+    cfg = config_for(tmp_path, script, iterations=1, islands=2)
+    run = EvolutionRun(cfg, backend=WaitingBackend.from_file(script))
+    run.init_population()
+    run.step()
+    records = run.experience.records
+    assert [run.state.candidates[r.child_id].source for r in records] == [NN.strip(),
+                                                                          TWO_OPT.strip()]
+    assert [r.island for r in records] == [0, 1]
+
+
+def test_llm_threads_are_bounded_and_none_outlives_the_step(tmp_path, monkeypatch):
+    # the first LLM_THREADS calls block until that many are in flight at once
+    monkeypatch.setattr(orchestrator, "LLM_THREADS", 3)
+    lock, full = threading.Lock(), threading.Event()
+    in_flight, most, threads = [0], [0], []
+
+    def llm_threads():
+        return [t for t in threading.enumerate() if t.name.startswith("coevo-llm")]
+
+    class BlockingBackend(MockBackend):
+        def complete_once(self, request):
+            with lock:
+                in_flight[0] += 1
+                most[0] = max(most[0], in_flight[0])
+                threads.append(len(llm_threads()))
+                if in_flight[0] == orchestrator.LLM_THREADS:
+                    full.set()
+            try:
+                if request.tag == "generate" and not full.wait(10):
+                    raise AssertionError("fewer calls than LLM_THREADS were in flight")
+                return super().complete_once(request)
+            finally:
+                with lock:
+                    in_flight[0] -= 1
+
+    script = write_mock_script(tmp_path / "s.jsonl", generate=[fenced(NN)] * 5, evolve=["m"])
+    cfg = config_for(tmp_path, script, iterations=1, islands=5)
+    run = EvolutionRun(cfg, backend=BlockingBackend.from_file(script))
+    run.init_population()
+    run.step()
+    assert most[0] == 3
+    assert len(threads) == 6 and max(threads) == 3  # 5 generate calls and the prompt rewrite
+    assert not llm_threads()
+    assert len(run.experience.records) == 5
+
+
 FFD_NOVEL = """\
 import json, sys
 doc = json.loads(sys.stdin.read())
